@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates every
 // experiment is built on -- simulator steps, network forward/backward,
-// optimizer updates, GP fits, BO proposals, trace generation, and the
-// offline-optimal planner.
+// optimizer updates, GP fits, BO proposals, trace generation, the
+// offline-optimal planner, and one RobustMPC decision.
 
 #include <benchmark/benchmark.h>
 
+#include "abr/baselines.hpp"
 #include "abr/env.hpp"
 #include "abr/optimal.hpp"
 #include "bo/search.hpp"
@@ -131,6 +132,32 @@ void BM_OfflineOptimal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OfflineOptimal);
+
+void BM_RobustMpcDecision(benchmark::State& state) {
+  // The observations of one fixed-seed RL3 episode played by RobustMPC,
+  // replayed in order (restarting the episode at the end) one decision per
+  // iteration.
+  netgym::Rng rng(1);
+  const netgym::ConfigSpace space = abr::abr_config_space(3);
+  auto env = abr::make_abr_env(abr::abr_config_from_point(space.sample(rng)),
+                               rng);
+  abr::RobustMpcPolicy mpc(5);
+  mpc.begin_episode();
+  std::vector<netgym::Observation> episode{env->reset()};
+  for (bool done = false; !done;) {
+    const auto step = env->step(mpc.act(episode.back(), rng));
+    done = step.done;
+    if (!done) episode.push_back(step.observation);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == 0) mpc.begin_episode();
+    benchmark::DoNotOptimize(mpc.act(episode[next], rng));
+    next = (next + 1) % episode.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RobustMpcDecision);
 
 }  // namespace
 

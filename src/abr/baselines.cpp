@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace abr {
 
@@ -20,11 +21,18 @@ double chunk_length_from_obs(const netgym::Observation& obs) {
   return obs[AbrEnv::kObsChunkLength] * 10.0;
 }
 
-/// Shared MPC planning core: enumerate bitrate sequences over `horizon`
-/// chunks under a fixed throughput prediction and return the best first
-/// action (used by RobustMPC and Oboe).
+void check_horizon(const char* who, int horizon) {
+  if (horizon <= 0 || horizon > kMaxMpcHorizon) {
+    throw std::invalid_argument(std::string(who) + ": horizon must be in [1, " +
+                                std::to_string(kMaxMpcHorizon) + "]");
+  }
+}
+
+}  // namespace
+
 int mpc_best_first_action(const netgym::Observation& obs,
                           double predicted_throughput_mbps, int horizon) {
+  check_horizon("mpc_best_first_action", horizon);
   const double throughput = std::max(predicted_throughput_mbps, 1e-3);
   const double chunk_len = std::max(chunk_length_from_obs(obs), 0.1);
   const double capacity = std::max(max_buffer_from_obs(obs), 1.0);
@@ -32,38 +40,62 @@ int mpc_best_first_action(const netgym::Observation& obs,
   const double start_buffer = buffer_from_obs(obs);
   const int last_bitrate = static_cast<int>(
       std::lround(obs[AbrEnv::kObsLastBitrate] * (kBitrateCount - 1)));
+  if (last_bitrate < 0 || last_bitrate >= kBitrateCount) {
+    throw std::out_of_range("mpc_best_first_action: last bitrate out of range");
+  }
+
+  // Per-bitrate quantities, hoisted out of the search. Each is the exact
+  // expression (same operands, same order) a search node would evaluate, so
+  // every node performs the same floating-point operations as the plain
+  // exhaustive enumeration. The first chunk uses the observed next-chunk
+  // sizes; later chunks use the nominal ladder size.
+  double mbps[kBitrateCount];
+  double first_download_s[kBitrateCount];
+  double later_download_s[kBitrateCount];
+  double change[kBitrateCount][kBitrateCount];
+  for (int b = 0; b < kBitrateCount; ++b) {
+    mbps[b] = bitrate_mbps(b);
+    first_download_s[b] =
+        obs[AbrEnv::kObsNextSizes + b] * 8.0 / throughput + rtt_s;
+    const double size_mb = bitrate_kbps(b) * 1000.0 * chunk_len / 8e6;
+    later_download_s[b] = size_mb * 8.0 / throughput + rtt_s;
+  }
+  for (int last = 0; last < kBitrateCount; ++last) {
+    for (int b = 0; b < kBitrateCount; ++b) {
+      change[last][b] = std::abs(mbps[b] - mbps[last]);
+    }
+  }
+  const double top_mbps = *std::max_element(mbps, mbps + kBitrateCount);
 
   double best_reward = -1e18;
   int best_first = 0;
-  std::vector<int> seq(static_cast<std::size_t>(horizon), 0);
-  auto simulate = [&](auto&& self, int depth, double buffer, int last,
-                      double reward) -> void {
+  auto search = [&](auto&& self, int depth, double buffer, int last,
+                    int first, double reward) -> void {
+    // Upper bound on every leaf below: each remaining chunk adds at most
+    // top_mbps, summed in the leaf's own left-to-right order. At a leaf
+    // (nothing remaining) this is the plain "reward > best_reward" test.
+    double bound = reward;
+    for (int d = depth; d < horizon; ++d) bound += top_mbps;
+    if (!(bound > best_reward)) return;
     if (depth == horizon) {
-      if (reward > best_reward) {
-        best_reward = reward;
-        best_first = seq[0];
-      }
+      best_reward = reward;
+      best_first = first;
       return;
     }
+    const double* download = depth == 0 ? first_download_s : later_download_s;
     for (int b = 0; b < kBitrateCount; ++b) {
-      seq[static_cast<std::size_t>(depth)] = b;
-      const double size_mb =
-          depth == 0 ? obs[AbrEnv::kObsNextSizes + b]
-                     : bitrate_kbps(b) * 1000.0 * chunk_len / 8e6;
-      const double download_s = size_mb * 8.0 / throughput + rtt_s;
+      const double download_s = download[b];
       const double rebuffer = std::max(download_s - buffer, 0.0);
       double new_buffer = std::max(buffer - download_s, 0.0) + chunk_len;
       new_buffer = std::min(new_buffer, capacity);
-      const double change = std::abs(bitrate_mbps(b) - bitrate_mbps(last));
-      const double r = bitrate_mbps(b) - 10.0 * rebuffer - change;
-      self(self, depth + 1, new_buffer, b, reward + r);
+      const double r = mbps[b] - 10.0 * rebuffer - change[last][b];
+      self(self, depth + 1, new_buffer, b, depth == 0 ? b : first,
+           reward + r);
     }
   };
-  simulate(simulate, 0, start_buffer, last_bitrate, 0.0);
+  search(search, 0, start_buffer, last_bitrate, 0, 0.0);
   return best_first;
 }
-
-}  // namespace
 
 int BbaPolicy::act(const netgym::Observation& obs, netgym::Rng&) {
   const double buffer = buffer_from_obs(obs);
@@ -86,9 +118,7 @@ int BbaPolicy::act(const netgym::Observation& obs, netgym::Rng&) {
 }
 
 RobustMpcPolicy::RobustMpcPolicy(int horizon) : horizon_(horizon) {
-  if (horizon <= 0) {
-    throw std::invalid_argument("RobustMpcPolicy: horizon must be > 0");
-  }
+  check_horizon("RobustMpcPolicy", horizon);
 }
 
 void RobustMpcPolicy::begin_episode() {
@@ -134,9 +164,7 @@ int RobustMpcPolicy::act(const netgym::Observation& obs, netgym::Rng&) {
 }
 
 OboePolicy::OboePolicy(int horizon) : horizon_(horizon) {
-  if (horizon <= 0) {
-    throw std::invalid_argument("OboePolicy: horizon must be > 0");
-  }
+  check_horizon("OboePolicy", horizon);
 }
 
 int OboePolicy::act(const netgym::Observation& obs, netgym::Rng&) {

@@ -19,11 +19,33 @@ class BbaPolicy : public netgym::Policy {
   }
 };
 
+/// Longest MPC lookahead the planner accepts. A decision's worst case visits
+/// 6^horizon leaves, so the cap bounds the cost of a single decision.
+inline constexpr int kMaxMpcHorizon = 8;
+
+/// The MPC planning core shared by RobustMPC and Oboe: under a fixed
+/// throughput prediction, returns the first bitrate of the sequence over the
+/// next `horizon` chunks (1..kMaxMpcHorizon, else std::invalid_argument) with
+/// the best predicted Table-1 reward; ties go to the sequence that is first
+/// in lexicographic order.
+///
+/// The search is an exact branch-and-bound over the 6^horizon sequences. A
+/// subtree is skipped when its reward so far plus the top rung's Mbps, added
+/// once per remaining chunk in the order the leaf sums use, is not greater
+/// than the best leaf found. That skip never changes the answer: each chunk's
+/// reward `mbps - 10 * rebuffer - change` is at most `mbps`, since rebuffer
+/// and change are non-negative; round-to-nearest addition is monotone, so no
+/// skipped leaf could pass the strict `>` test, and a NaN reward is never
+/// chosen either way. The result is bit-identical to full enumeration.
+int mpc_best_first_action(const netgym::Observation& obs,
+                          double predicted_throughput_mbps, int horizon);
+
 /// RobustMPC [57]: model-predictive control over a short lookahead horizon.
 /// Throughput is predicted as the harmonic mean of recent measurements,
 /// discounted by the maximum recent prediction error (the "robust" part);
-/// the policy enumerates bitrate sequences over the horizon and picks the
-/// first step of the sequence with the best predicted Table-1 reward.
+/// mpc_best_first_action then finds, by exact pruned search, the bitrate
+/// sequence over the horizon with the best predicted Table-1 reward, and the
+/// policy plays its first step.
 class RobustMpcPolicy : public netgym::Policy {
  public:
   explicit RobustMpcPolicy(int horizon = 5);

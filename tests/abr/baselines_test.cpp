@@ -92,6 +92,9 @@ TEST(Mpc, AbundantThroughputPicksHighest) {
 
 TEST(Mpc, ValidatesHorizon) {
   EXPECT_THROW(abr::RobustMpcPolicy(0), std::invalid_argument);
+  EXPECT_THROW(abr::RobustMpcPolicy(abr::kMaxMpcHorizon + 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(abr::RobustMpcPolicy(abr::kMaxMpcHorizon));
 }
 
 TEST(Mpc, BeatsConstantLowestOnGoodLink) {
@@ -126,6 +129,9 @@ TEST(Mpc, AvoidsRebufferOnSlowLink) {
 
 TEST(Oboe, ValidatesHorizon) {
   EXPECT_THROW(abr::OboePolicy(0), std::invalid_argument);
+  EXPECT_THROW(abr::OboePolicy(abr::kMaxMpcHorizon + 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(abr::OboePolicy(abr::kMaxMpcHorizon));
 }
 
 TEST(Oboe, ConservativeWithoutSignalAndScalesWithThroughput) {

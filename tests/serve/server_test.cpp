@@ -85,12 +85,23 @@ TEST(ServeServer, BatchedAnswersMatchDirectGreedyPolicy) {
   opt.batch_window_us = 100;
   auto server = start_server(ckpt, opt);
 
-  const std::unique_ptr<rl::MlpPolicy> reference =
-      serve::load_policy_checkpoint(ckpt).instantiate();
-  netgym::Rng dummy(0);  // greedy argmax never draws from it
-
+  // The expected actions are computed serially before the clients start:
+  // act_batch writes into the policy's scratch buffers, so one reference
+  // policy must not be shared across the client threads.
   constexpr int kClients = 4;
   constexpr int kPerClient = 64;
+  std::vector<int> expected(kClients * kPerClient, -1);
+  {
+    const std::unique_ptr<rl::MlpPolicy> reference =
+        serve::load_policy_checkpoint(ckpt).instantiate();
+    netgym::Rng dummy(0);  // greedy argmax never draws from it
+    netgym::Rng* rngs[1] = {&dummy};
+    for (std::size_t sid = 0; sid < expected.size(); ++sid) {
+      const std::vector<double> obs = make_obs(sid);
+      reference->act_batch(obs.data(), 1, rngs, &expected[sid]);
+    }
+  }
+
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
@@ -101,10 +112,7 @@ TEST(ServeServer, BatchedAnswersMatchDirectGreedyPolicy) {
             static_cast<std::uint64_t>(c) * kPerClient + i;
         const std::vector<double> obs = make_obs(sid);
         const serve::ActResponse r = client.act(sid, obs.data(), obs.size());
-        netgym::Rng* rngs[1] = {&dummy};
-        int expected = -1;
-        reference->act_batch(obs.data(), 1, rngs, &expected);
-        if (r.action != expected) mismatches.fetch_add(1);
+        if (r.action != expected[sid]) mismatches.fetch_add(1);
       }
     });
   }
