@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "cc/env.hpp"
 
@@ -50,9 +52,11 @@ double utilization_of(netgym::Policy& policy, double bw_mbps,
 }
 
 /// All rule-based controllers must reach reasonable utilization on a stable
-/// link without melting down on latency/loss.
+/// link without melting down on latency/loss. The controller name is a
+/// std::string (not a const char*) so the printed parameter, and with it the
+/// discovered ctest name, carries no run-dependent pointer address.
 class ControllerUtilization
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {
  public:
   static std::unique_ptr<netgym::Policy> make(const std::string& name) {
     if (name == "cubic") return std::make_unique<cc::CubicPolicy>();
@@ -73,7 +77,10 @@ TEST_P(ControllerUtilization, ReachesDecentUtilization) {
 
 INSTANTIATE_TEST_SUITE_P(
     Controllers, ControllerUtilization,
-    ::testing::Combine(::testing::Values("cubic", "bbr", "vivace", "copa"),
+    ::testing::Combine(::testing::Values(std::string("cubic"),
+                                         std::string("bbr"),
+                                         std::string("vivace"),
+                                         std::string("copa")),
                        ::testing::Values(2.0, 10.0, 40.0)));
 
 TEST(Cubic, BacksOffOnLoss) {
