@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -218,18 +219,23 @@ TEST(FleetRun, ValidatesEverythingUpFront) {
 
 TEST(FleetFixture, RegeneratedWorstKMatchesCommittedBytes) {
   // write_regression_fixture replays the pinned 96-session ABR fleet and
-  // dumps its worst-4 flight recordings; the committed copy under
-  // tests/data/ pins the whole sampling -> device skew -> trace mix ->
-  // lockstep replay -> flight capture pipeline. A mismatch means fleet
-  // behavior changed: regenerate deliberately with tools/make_fleet_fixtures
-  // and review the diff.
+  // dumps its worst-4 flight recordings, then digests each task's small
+  // default mix (ABR and CC with half their sessions on recorded traces).
+  // The committed copies under tests/data/ pin the whole sampling -> device
+  // skew -> trace mix -> lockstep replay -> flight capture pipeline. A
+  // mismatch means fleet behavior changed: regenerate deliberately with
+  // tools/make_fleet_fixtures and review the diff.
   const std::string dir = ::testing::TempDir() + "fleet_fixture";
-  const std::string fresh = fleet::write_regression_fixture(dir);
-  const std::string committed =
-      std::string(GENET_TEST_DATA_DIR) + "/worst_fixture_abr.jsonl";
-  const std::string fresh_bytes = read_file(fresh);
-  ASSERT_FALSE(fresh_bytes.empty());
-  EXPECT_EQ(fresh_bytes, read_file(committed));
+  const std::vector<std::string> fresh = fleet::write_regression_fixture(dir);
+  ASSERT_EQ(fresh.size(), 4u);
+  for (const std::string& path : fresh) {
+    const std::string name = std::filesystem::path(path).filename().string();
+    const std::string fresh_bytes = read_file(path);
+    ASSERT_FALSE(fresh_bytes.empty()) << name;
+    EXPECT_EQ(fresh_bytes,
+              read_file(std::string(GENET_TEST_DATA_DIR) + "/" + name))
+        << name;
+  }
 }
 
 TEST(FleetReport, JsonAndSummaryRenderEveryScenario) {
