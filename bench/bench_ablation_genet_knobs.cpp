@@ -71,7 +71,7 @@ int main() {
       "BO budget, gap-estimate sample count, and the forgetting probe");
 
   // RL2 ranges: episodes cap at 1000 jobs, keeping the 7-variant sweep fast.
-  auto adapter = bench::make_adapter("lb", 2);
+  auto adapter = genet::make_adapter("lb", 2);
   genet::ModelZoo zoo;
 
   std::printf("\npromotion weight w (BO trials 15, k 10):\n");
@@ -171,12 +171,12 @@ int main() {
 
   std::printf("\nCC backend transfer (RL3 policy, 50 envs each):\n");
   {
-    auto fluid = bench::make_adapter("cc", 3);
+    auto fluid = genet::make_adapter("cc", 3);
     auto packet = std::make_unique<genet::CcAdapter>(
         3, genet::TraceMixOptions{}, /*use_packet_sim=*/true);
     const auto params = bench::traditional_params(
-        zoo, *fluid, "cc", 3, 1, bench::traditional_iterations("cc"));
-    auto policy = bench::make_policy(*fluid, params);
+        zoo, *fluid, 1, bench::traditional_iterations("cc"));
+    auto policy = fluid->make_policy(params);
     netgym::ConfigDistribution dist(fluid->space());
     netgym::Rng r1(77), r2(77);
     bench::print_row("  fluid backend",

@@ -18,11 +18,10 @@ void run_task(const std::string& task, const std::string& baseline) {
   std::printf("%-8s %18s %14s %26s\n", "range", "mean RL - baseline",
               "relative", "frac envs RL < baseline");
   for (int space = 1; space <= 3; ++space) {
-    auto adapter = bench::make_adapter(task, space);
-    const auto params = bench::traditional_params(
-        zoo, *adapter, task, space, /*seed=*/1,
+    auto adapter = genet::make_adapter(task, space);
+    const auto params = bench::traditional_params(zoo, *adapter, /*seed=*/1,
         bench::traditional_iterations(task));
-    auto policy = bench::make_policy(*adapter, params);
+    auto policy = adapter->make_policy(params);
 
     // Paired evaluation: same configs and env randomness for both policies.
     netgym::Rng crng(515);

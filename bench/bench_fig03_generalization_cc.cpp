@@ -39,7 +39,7 @@ std::vector<double> trace_trained_params(genet::ModelZoo& zoo,
   genet::TraceMixOptions mix;
   mix.corpus = traces::make_corpus(set, /*test=*/false);
   mix.trace_prob = 1.0;  // train on recorded traces only
-  auto adapter = bench::make_adapter("cc", 3, std::move(mix));
+  auto adapter = genet::make_adapter("cc", 3, std::move(mix));
   const std::string key = "cc-tracetrained-" + name + "-seed1";
   return zoo.get_or_train(key, [&] {
     std::fprintf(stderr, "[train] %s ...\n", key.c_str());
@@ -58,7 +58,7 @@ int main() {
       "real trace sets; cross-trace-set transfer degrades similarly");
 
   genet::ModelZoo zoo;
-  auto adapter = bench::make_adapter("cc", 3);
+  auto adapter = genet::make_adapter("cc", 3);
   cc::BbrPolicy bbr;
 
   // --- Panel (a): train on Aurora's original synthetic range. -------------
@@ -70,7 +70,7 @@ int main() {
         *adapter, dist, bench::traditional_iterations("cc"), 1);
     return trainer->snapshot();
   });
-  auto synth_policy = bench::make_policy(*adapter, synth_params);
+  auto synth_policy = adapter->make_policy(synth_params);
 
   {
     netgym::ConfigDistribution dist(original);
@@ -94,8 +94,8 @@ int main() {
       trace_trained_params(zoo, traces::TraceSet::kCellular, "cellular");
   const auto eth_params =
       trace_trained_params(zoo, traces::TraceSet::kEthernet, "ethernet");
-  auto cell_policy = bench::make_policy(*adapter, cell_params);
-  auto eth_policy = bench::make_policy(*adapter, eth_params);
+  auto cell_policy = adapter->make_policy(cell_params);
+  auto eth_policy = adapter->make_policy(eth_params);
 
   std::printf("\n(b) cross-trace-set transfer (mean reward per test trace)\n");
   std::printf("%-34s %10s %10s %10s\n", "test set", "cell-RL", "eth-RL",

@@ -50,12 +50,12 @@ int main() {
       "adding X (larger gap-to-optimum) barely improves X and hurts Y; "
       "adding Y improves both -- gap-to-optimum misleads");
 
-  auto adapter = bench::make_adapter("abr", 3);
+  auto adapter = genet::make_adapter("abr", 3);
   genet::ModelZoo zoo;
   // A competent starting model: the paper pretrains until the policy is
   // reasonable but still poor on both X and Y.
   const auto snapshot =
-      bench::traditional_params(zoo, *adapter, "abr", 3, /*seed=*/11, 2000);
+      bench::traditional_params(zoo, *adapter, /*seed=*/11, 2000);
 
   // Fig. 5: contrast the two trace families.
   {
@@ -73,7 +73,7 @@ int main() {
                            env_y->trace().non_smoothness()});
   }
 
-  auto base_policy = bench::make_policy(*adapter, snapshot);
+  auto base_policy = adapter->make_policy(snapshot);
   const double x_before = eval_on(*base_policy, config_x());
   const double y_before = eval_on(*base_policy, config_y());
 

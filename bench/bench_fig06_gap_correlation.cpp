@@ -28,11 +28,11 @@ netgym::ConfigSpace cc_fig6_space() {
 
 void run_panel(const std::string& task, const std::string& baseline,
                int pretrain_iters, int configs, int finetune_iters) {
-  auto adapter = bench::make_adapter(task, 3);
+  auto adapter = genet::make_adapter(task, 3);
   genet::ModelZoo zoo;
-  const auto snapshot = bench::traditional_params(zoo, *adapter, task, 3,
-                                                  /*seed=*/1, pretrain_iters);
-  auto policy = bench::make_policy(*adapter, snapshot);
+  const auto snapshot =
+      bench::traditional_params(zoo, *adapter, /*seed=*/1, pretrain_iters);
+  auto policy = adapter->make_policy(snapshot);
 
   const netgym::ConfigSpace sample_space =
       task == "cc" ? cc_fig6_space() : adapter->space();
@@ -48,7 +48,7 @@ void run_panel(const std::string& task, const std::string& baseline,
     const netgym::Config& config = sampled[static_cast<std::size_t>(c)];
     // Workers need their own policy instance: MlpPolicy::act mutates the
     // net's forward cache.
-    auto local_policy = bench::make_policy(*adapter, snapshot);
+    auto local_policy = adapter->make_policy(snapshot);
     netgym::Rng g1 = crng.fork();
     const double gap = genet::gap_to_baseline(*adapter, *local_policy,
                                               baseline, config, 10, g1);

@@ -12,7 +12,7 @@ namespace {
 
 void run_task(const std::string& task, const std::string& baseline) {
   genet::ModelZoo zoo;
-  auto target_adapter = bench::make_adapter(task, 3);
+  auto target_adapter = genet::make_adapter(task, 3);
   netgym::ConfigDistribution target(target_adapter->space());
   constexpr std::uint64_t kSeeds[] = {1, 2};
 
@@ -22,13 +22,12 @@ void run_task(const std::string& task, const std::string& baseline) {
 
   // Traditional RL trained on RL1 / RL2 / RL3 ranges.
   for (int space = 1; space <= 3; ++space) {
-    auto adapter = bench::make_adapter(task, space);
+    auto adapter = genet::make_adapter(task, space);
     std::vector<double> rewards;
     for (std::uint64_t seed : kSeeds) {
-      const auto params = bench::traditional_params(
-          zoo, *adapter, task, space, seed,
+      const auto params = bench::traditional_params(zoo, *adapter, seed,
           bench::traditional_iterations(task));
-      auto policy = bench::make_policy(*target_adapter, params);
+      auto policy = target_adapter->make_policy(params);
       netgym::Rng rng(77);
       rewards.push_back(genet::test_on_distribution(*target_adapter, *policy,
                                                     target, 200, rng));
@@ -42,8 +41,8 @@ void run_task(const std::string& task, const std::string& baseline) {
     std::vector<double> rewards;
     for (std::uint64_t seed : kSeeds) {
       const auto params =
-          bench::genet_params(zoo, *target_adapter, task, baseline, seed);
-      auto policy = bench::make_policy(*target_adapter, params);
+          bench::genet_params(zoo, *target_adapter, baseline, seed);
+      auto policy = target_adapter->make_policy(params);
       netgym::Rng rng(77);
       rewards.push_back(genet::test_on_distribution(*target_adapter, *policy,
                                                     target, 200, rng));

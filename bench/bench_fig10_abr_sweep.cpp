@@ -47,24 +47,20 @@ int main() {
   };
 
   genet::ModelZoo zoo;
-  auto adapter3 = bench::make_adapter("abr", 3);
+  auto adapter3 = genet::make_adapter("abr", 3);
   struct Entry {
     std::string name;
     std::unique_ptr<rl::MlpPolicy> policy;
   };
   std::vector<Entry> entries;
-  entries.push_back({"Genet", bench::make_policy(
-                                  *adapter3, bench::genet_params(
-                                                 zoo, *adapter3, "abr", "mpc",
-                                                 1))});
+  entries.push_back({"Genet", adapter3->make_policy(bench::genet_params(
+                                  zoo, *adapter3, "mpc", 1))});
   for (int space = 1; space <= 3; ++space) {
-    auto adapter = bench::make_adapter("abr", space);
+    auto adapter = genet::make_adapter("abr", space);
     entries.push_back(
         {"RL" + std::to_string(space),
-         bench::make_policy(*adapter3,
-                            bench::traditional_params(
-                                zoo, *adapter, "abr", space, 1,
-                                bench::traditional_iterations("abr")))});
+         adapter3->make_policy(bench::traditional_params(
+             zoo, *adapter, 1, bench::traditional_iterations("abr")))});
   }
 
   for (const Panel& panel : panels) {

@@ -29,24 +29,21 @@ int main() {
       "across job sizes and arrival intervals");
 
   genet::ModelZoo zoo;
-  auto adapter3 = bench::make_adapter("lb", 3);
+  auto adapter3 = genet::make_adapter("lb", 3);
   struct Entry {
     std::string name;
     std::unique_ptr<rl::MlpPolicy> policy;
   };
   std::vector<Entry> entries;
   entries.push_back(
-      {"Genet", bench::make_policy(*adapter3, bench::genet_params(
-                                                  zoo, *adapter3, "lb", "llf",
-                                                  1))});
+      {"Genet", adapter3->make_policy(
+                    bench::genet_params(zoo, *adapter3, "llf", 1))});
   for (int space = 1; space <= 3; ++space) {
-    auto adapter = bench::make_adapter("lb", space);
+    auto adapter = genet::make_adapter("lb", space);
     entries.push_back(
         {"RL" + std::to_string(space),
-         bench::make_policy(*adapter3,
-                            bench::traditional_params(
-                                zoo, *adapter, "lb", space, 1,
-                                bench::traditional_iterations("lb")))});
+         adapter3->make_policy(bench::traditional_params(
+             zoo, *adapter, 1, bench::traditional_iterations("lb")))});
   }
 
   {

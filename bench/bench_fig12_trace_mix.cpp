@@ -24,7 +24,7 @@ void run_task(const std::string& task,
     train_corpus.insert(train_corpus.end(), train.begin(), train.end());
     test_corpus.insert(test_corpus.end(), test.begin(), test.end());
   }
-  auto plain_adapter = bench::make_adapter(task, 3);
+  auto plain_adapter = genet::make_adapter(task, 3);
 
   auto eval = [&](netgym::Policy& policy) {
     netgym::Rng rng(9);
@@ -39,7 +39,7 @@ void run_task(const std::string& task,
     genet::TraceMixOptions mix;
     mix.corpus = train_corpus;
     mix.trace_prob = ratio;
-    auto adapter = bench::make_adapter(task, 3, std::move(mix));
+    auto adapter = genet::make_adapter(task, 3, std::move(mix));
     char key[128];
     std::snprintf(key, sizeof(key), "%s-mix%02d-seed1", task.c_str(),
                   static_cast<int>(ratio * 100));
@@ -49,7 +49,7 @@ void run_task(const std::string& task,
           *adapter, bench::traditional_iterations(task), 1);
       return trainer->snapshot();
     });
-    auto policy = bench::make_policy(*plain_adapter, params);
+    auto policy = plain_adapter->make_policy(params);
     char label[64];
     std::snprintf(label, sizeof(label), "RL (synth + %3.0f%% real)",
                   ratio * 100);
@@ -59,7 +59,7 @@ void run_task(const std::string& task,
   {
     genet::TraceMixOptions mix;
     mix.corpus = train_corpus;  // Genet's default 30% trace rule (S4.2)
-    auto adapter = bench::make_adapter(task, 3, std::move(mix));
+    auto adapter = genet::make_adapter(task, 3, std::move(mix));
     const std::string key = task + "-genet-mix-" + baseline + "-seed1";
     const auto params = bench::curriculum_params(
         zoo, *adapter, key,
@@ -68,7 +68,7 @@ void run_task(const std::string& task,
               baseline, bench::search_options());
         },
         1);
-    auto policy = bench::make_policy(*plain_adapter, params);
+    auto policy = plain_adapter->make_policy(params);
     bench::print_row("Genet (synth + real)", {eval(*policy)});
   }
 }

@@ -14,17 +14,17 @@ namespace {
 void run_panel(const std::string& task, const std::string& baseline,
                traces::TraceSet set) {
   genet::ModelZoo zoo;
-  auto adapter3 = bench::make_adapter(task, 3);
+  auto adapter3 = genet::make_adapter(task, 3);
   const auto corpus = traces::make_corpus(set, /*test=*/true);
 
   std::printf("\n(%s tested on %s traces, %zu traces)\n", task.c_str(),
               traces::info(set).name.c_str(), corpus.size());
 
   for (int space = 1; space <= 3; ++space) {
-    auto adapter = bench::make_adapter(task, space);
+    auto adapter = genet::make_adapter(task, space);
     const auto params = bench::traditional_params(
-        zoo, *adapter, task, space, 1, bench::traditional_iterations(task));
-    auto policy = bench::make_policy(*adapter3, params);
+        zoo, *adapter, 1, bench::traditional_iterations(task));
+    auto policy = adapter3->make_policy(params);
     netgym::Rng rng(9);
     bench::print_row(
         "RL" + std::to_string(space),
@@ -32,8 +32,8 @@ void run_panel(const std::string& task, const std::string& baseline,
   }
   {
     const auto params =
-        bench::genet_params(zoo, *adapter3, task, baseline, 1);
-    auto policy = bench::make_policy(*adapter3, params);
+        bench::genet_params(zoo, *adapter3, baseline, 1);
+    auto policy = adapter3->make_policy(params);
     netgym::Rng rng(9);
     bench::print_row(
         "Genet (" + baseline + ")",

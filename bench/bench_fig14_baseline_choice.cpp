@@ -14,11 +14,11 @@ namespace {
 
 void compare(const std::string& task, const std::string& baseline) {
   genet::ModelZoo zoo;
-  auto adapter = bench::make_adapter(task, 3);
+  auto adapter = genet::make_adapter(task, 3);
   netgym::ConfigDistribution target(adapter->space());
 
-  const auto params = bench::genet_params(zoo, *adapter, task, baseline, 1);
-  auto policy = bench::make_policy(*adapter, params);
+  const auto params = bench::genet_params(zoo, *adapter, baseline, 1);
+  auto policy = adapter->make_policy(params);
   netgym::Rng r1(77), r2(77);
   const double rl =
       genet::test_on_distribution(*adapter, *policy, target, 120, r1);
@@ -49,7 +49,7 @@ int main() {
   // selection signal degenerates and Genet reduces to traditional training.
   {
     genet::ModelZoo zoo;
-    auto adapter = bench::make_adapter("abr", 3);
+    auto adapter = genet::make_adapter("abr", 3);
     genet::CurriculumTrainer trainer(
         *adapter,
         std::make_unique<genet::GenetScheme>("naive", bench::search_options()),
@@ -62,7 +62,7 @@ int main() {
     // Start from the already-trained RL3 policy, as in the paper (the naive
     // baseline is swapped in for a developed model, not a fresh one).
     trainer.trainer().restore(bench::traditional_params(
-        zoo, *adapter, "abr", 3, 1, bench::traditional_iterations("abr")));
+        zoo, *adapter, 1, bench::traditional_iterations("abr")));
     std::printf("\nGenet guided by the naive ABR baseline "
                 "(3 short rounds from the trained RL3 model):\n");
     for (int r = 0; r < 3; ++r) {

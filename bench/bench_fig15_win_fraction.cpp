@@ -14,7 +14,7 @@ namespace {
 void run_panel(const std::string& task, const std::string& baseline,
                const std::vector<traces::TraceSet>& sets) {
   genet::ModelZoo zoo;
-  auto adapter3 = bench::make_adapter(task, 3);
+  auto adapter3 = genet::make_adapter(task, 3);
 
   // Baseline rewards per trace (all test sets of the task pooled).
   std::vector<netgym::Trace> corpus;
@@ -34,10 +34,10 @@ void run_panel(const std::string& task, const std::string& baseline,
               task.c_str(), baseline.c_str(), corpus.size());
 
   for (int space = 1; space <= 3; ++space) {
-    auto adapter = bench::make_adapter(task, space);
+    auto adapter = genet::make_adapter(task, space);
     const auto params = bench::traditional_params(
-        zoo, *adapter, task, space, 1, bench::traditional_iterations(task));
-    auto policy = bench::make_policy(*adapter3, params);
+        zoo, *adapter, 1, bench::traditional_iterations(task));
+    auto policy = adapter3->make_policy(params);
     netgym::Rng rng(9);
     const auto rewards =
         genet::test_per_trace(*adapter3, *policy, corpus, rng);
@@ -46,8 +46,8 @@ void run_panel(const std::string& task, const std::string& baseline,
                      8, 1);
   }
   {
-    const auto params = bench::genet_params(zoo, *adapter3, task, baseline, 1);
-    auto policy = bench::make_policy(*adapter3, params);
+    const auto params = bench::genet_params(zoo, *adapter3, baseline, 1);
+    auto policy = adapter3->make_policy(params);
     netgym::Rng rng(9);
     const auto rewards =
         genet::test_per_trace(*adapter3, *policy, corpus, rng);

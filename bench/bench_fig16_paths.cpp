@@ -42,9 +42,9 @@ void abr_panel() {
       {"Path5 cloud->wifi (far)", 5.0, 0.3, 6.0, 260.0},
   };
   genet::ModelZoo zoo;
-  auto adapter = bench::make_adapter("abr", 3);
-  auto genet_policy = bench::make_policy(
-      *adapter, bench::genet_params(zoo, *adapter, "abr", "mpc", 1));
+  auto adapter = genet::make_adapter("abr", 3);
+  auto genet_policy =
+      adapter->make_policy(bench::genet_params(zoo, *adapter, "mpc", 1));
 
   std::printf("\n(a) ABR paths -- Table 6 breakdown, 5 runs each\n");
   std::printf("%-26s %-7s %10s %12s %12s %9s\n", "path", "scheme",
@@ -91,9 +91,9 @@ void cc_panel() {
       {"Path3 wired->wifi", 8.0, 8.0, 60.0, 1200.0, 0.0},
   };
   genet::ModelZoo zoo;
-  auto adapter = bench::make_adapter("cc", 3);
-  auto genet_policy = bench::make_policy(
-      *adapter, bench::genet_params(zoo, *adapter, "cc", "bbr", 1));
+  auto adapter = genet::make_adapter("cc", 3);
+  auto genet_policy =
+      adapter->make_policy(bench::genet_params(zoo, *adapter, "bbr", 1));
 
   std::printf("\n(b) CC paths -- Table 7 breakdown, 5 runs each\n");
   std::printf("%-24s %-7s %12s %16s %10s %10s\n", "path", "scheme",

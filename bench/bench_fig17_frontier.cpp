@@ -32,16 +32,14 @@ std::vector<NamedPolicy> cc_schemes(genet::ModelZoo& zoo,
   out.push_back({"Vivace", std::make_unique<cc::VivacePolicy>()});
   out.push_back({"Copa", std::make_unique<cc::CopaPolicy>()});
   for (int space = 1; space <= 3; ++space) {
-    auto a = bench::make_adapter("cc", space);
+    auto a = genet::make_adapter("cc", space);
     out.push_back({"RL" + std::to_string(space),
-                   bench::make_policy(adapter, bench::traditional_params(
-                                                   zoo, *a, "cc", space, 1,
-                                                   bench::traditional_iterations("cc")))});
+                   adapter.make_policy(bench::traditional_params(
+                       zoo, *a, 1, bench::traditional_iterations("cc")))});
   }
-  out.push_back({"Genet",
-                 bench::make_policy(adapter, bench::genet_params(
-                                                 zoo, adapter, "cc", "bbr",
-                                                 1))});
+  out.push_back(
+      {"Genet",
+       adapter.make_policy(bench::genet_params(zoo, adapter, "bbr", 1))});
   return out;
 }
 
@@ -52,22 +50,20 @@ std::vector<NamedPolicy> abr_schemes(genet::ModelZoo& zoo,
   out.push_back({"MPC", std::make_unique<abr::RobustMpcPolicy>()});
   out.push_back({"Oboe", std::make_unique<abr::OboePolicy>()});
   for (int space = 1; space <= 3; ++space) {
-    auto a = bench::make_adapter("abr", space);
+    auto a = genet::make_adapter("abr", space);
     out.push_back({"RL" + std::to_string(space),
-                   bench::make_policy(adapter, bench::traditional_params(
-                                                   zoo, *a, "abr", space, 1,
-                                                   bench::traditional_iterations("abr")))});
+                   adapter.make_policy(bench::traditional_params(
+                       zoo, *a, 1, bench::traditional_iterations("abr")))});
   }
-  out.push_back({"Genet",
-                 bench::make_policy(adapter, bench::genet_params(
-                                                 zoo, adapter, "abr", "mpc",
-                                                 1))});
+  out.push_back(
+      {"Genet",
+       adapter.make_policy(bench::genet_params(zoo, adapter, "mpc", 1))});
   return out;
 }
 
 void cc_panel(traces::TraceSet set) {
   genet::ModelZoo zoo;
-  auto adapter = bench::make_adapter("cc", 3);
+  auto adapter = genet::make_adapter("cc", 3);
   const auto corpus = traces::make_corpus(set, true);
   std::printf("\n(CC on %s traces) up-left is better\n",
               traces::info(set).name.c_str());
@@ -97,7 +93,7 @@ void cc_panel(traces::TraceSet set) {
 
 void abr_panel(traces::TraceSet set) {
   genet::ModelZoo zoo;
-  auto adapter = bench::make_adapter("abr", 3);
+  auto adapter = genet::make_adapter("abr", 3);
   const auto corpus = traces::make_corpus(set, true);
   std::printf("\n(ABR on %s traces) up-left is better\n",
               traces::info(set).name.c_str());

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       "Genet's curve ramps up faster than RL3 and CL1/CL2/CL3; doubling "
       "RL3/CL3's iterations does not close the gap");
 
-  auto adapter = bench::make_adapter("abr", 3);
+  auto adapter = genet::make_adapter("abr", 3);
   netgym::ConfigDistribution target(adapter->space());
   genet::SearchOptions search = bench::search_options();
   genet::ModelZoo zoo;

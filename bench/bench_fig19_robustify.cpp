@@ -18,7 +18,7 @@ int main() {
       "improvable (cf. Fig. 5)");
 
   genet::ModelZoo zoo;
-  auto adapter = bench::make_adapter("abr", 3);
+  auto adapter = genet::make_adapter("abr", 3);
   netgym::ConfigDistribution target(adapter->space());
   auto evaluate = [&](netgym::Policy& policy) {
     netgym::Rng rng(77);
@@ -40,7 +40,7 @@ int main() {
           /*alternations=*/2, options, 1);
       return trainer->snapshot();
     });
-    auto policy = bench::make_policy(*adapter, params);
+    auto policy = adapter->make_policy(params);
     bench::print_row("Robustify (adversarial gen)", {evaluate(*policy)});
   }
 
@@ -54,15 +54,15 @@ int main() {
         zoo, *adapter, key,
         [&] { return std::make_unique<genet::RobustifyScheme>(rho, search); },
         1);
-    auto policy = bench::make_policy(*adapter, params);
+    auto policy = adapter->make_policy(params);
     char label[64];
     std::snprintf(label, sizeof(label), "BO w/ Robustify reward, rho=%.1f",
                   rho);
     bench::print_row(label, {evaluate(*policy)});
   }
   {
-    auto policy = bench::make_policy(
-        *adapter, bench::genet_params(zoo, *adapter, "abr", "mpc", 1));
+    auto policy =
+        adapter->make_policy(bench::genet_params(zoo, *adapter, "mpc", 1));
     bench::print_row("Genet", {evaluate(*policy)});
   }
   return 0;

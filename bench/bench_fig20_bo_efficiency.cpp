@@ -14,11 +14,11 @@ namespace {
 
 void run_panel(const std::string& task, const std::string& baseline,
                int pretrain_iters) {
-  auto adapter = bench::make_adapter(task, 3);
+  auto adapter = genet::make_adapter(task, 3);
   genet::ModelZoo zoo;
-  const auto params = bench::traditional_params(zoo, *adapter, task, 3,
-                                                /*seed=*/1, pretrain_iters);
-  auto policy = bench::make_policy(*adapter, params);
+  const auto params =
+      bench::traditional_params(zoo, *adapter, /*seed=*/1, pretrain_iters);
+  auto policy = adapter->make_policy(params);
 
   const netgym::ConfigSpace& space = adapter->space();
   const int dims = static_cast<int>(space.dims());

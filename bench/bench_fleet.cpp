@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -31,6 +30,7 @@
 
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
+#include "genet/zoo.hpp"
 #include "netgym/parallel.hpp"
 #include "netgym/parse.hpp"
 #include "netgym/rng.hpp"
@@ -121,20 +121,6 @@ Config parse_args(int argc, char** argv) {
   return cfg;
 }
 
-std::vector<double> load_params(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::size_t n = 0;
-  in >> n;
-  std::vector<double> params(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(in >> params[i])) {
-      throw std::runtime_error("truncated model file " + path);
-    }
-  }
-  return params;
-}
-
 /// The policy scored for `task`: a trained model file when one was given,
 /// else a random init forked deterministically from the bench seed (so the
 /// committed report regenerates without any model artifacts).
@@ -145,7 +131,9 @@ rl::MlpPolicy make_policy(const Config& cfg, const std::string& task,
   rl::MlpPolicy policy(fleet::task_obs_size(task),
                        fleet::task_action_count(task), defaults.hidden, init);
   const auto it = cfg.models.find(task);
-  if (it != cfg.models.end()) policy.restore(load_params(it->second));
+  if (it != cfg.models.end()) {
+    policy.restore(genet::load_params(it->second));
+  }
   policy.set_greedy(true);
   return policy;
 }

@@ -16,9 +16,9 @@ void print_space(const std::string& task) {
   std::printf("\n%s parameter ranges\n", task.c_str());
   std::printf("%-24s %-22s %-22s %-22s %s\n", "parameter", "RL1", "RL2",
               "RL3", "scale");
-  const auto s1 = bench::make_adapter(task, 1)->space();
-  const auto s2 = bench::make_adapter(task, 2)->space();
-  const auto s3 = bench::make_adapter(task, 3)->space();
+  const auto s1 = genet::make_adapter(task, 1)->space();
+  const auto s2 = genet::make_adapter(task, 2)->space();
+  const auto s3 = genet::make_adapter(task, 3)->space();
   for (std::size_t d = 0; d < s3.dims(); ++d) {
     char r1[64], r2[64], r3[64];
     std::snprintf(r1, sizeof(r1), "[%g, %g]", s1.param(d).lo, s1.param(d).hi);

@@ -492,9 +492,9 @@ int main(int argc, char** argv) {
   print_rows(inference);
   if (!all_bit_identical(inference)) return 1;
 
-  auto abr = bench::make_adapter("abr", 3);
-  auto cc = bench::make_adapter("cc", 3);
-  auto lb = bench::make_adapter("lb", 3);
+  auto abr = genet::make_adapter("abr", 3);
+  auto cc = genet::make_adapter("cc", 3);
+  auto lb = genet::make_adapter("lb", 3);
 
   std::printf("\nrollout collection (ABR, %d episodes, lockstep)\n",
               quick ? 16 : 64);

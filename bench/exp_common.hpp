@@ -35,23 +35,15 @@ genet::CurriculumOptions curriculum_options(const std::string& task,
 /// 15 trials, k = 10 envs per gap estimate).
 genet::SearchOptions search_options();
 
-/// Adapter factory: task in {"abr", "cc", "lb"}, space in 1..3.
-std::unique_ptr<genet::TaskAdapter> make_adapter(const std::string& task,
-                                                 int space);
-std::unique_ptr<genet::TaskAdapter> make_adapter(
-    const std::string& task, int space, genet::TraceMixOptions traces);
-
-/// Train (or load from the zoo) a traditionally trained policy on the given
-/// space; key example: "abr-rl3-seed1-it3000".
+/// Train (or load from the zoo) a traditionally trained policy on the
+/// adapter's space; key example: "abr-rl3-seed1-it3000".
 std::vector<double> traditional_params(genet::ModelZoo& zoo,
                                        const genet::TaskAdapter& adapter,
-                                       const std::string& task, int space,
                                        std::uint64_t seed, int iterations);
 
 /// Train (or load) a Genet-curriculum policy guided by `baseline`.
 std::vector<double> genet_params(genet::ModelZoo& zoo,
                                  const genet::TaskAdapter& adapter,
-                                 const std::string& task,
                                  const std::string& baseline,
                                  std::uint64_t seed);
 
@@ -63,10 +55,6 @@ std::vector<double> curriculum_params(
     const std::function<std::unique_ptr<genet::CurriculumScheme>()>&
         make_scheme,
     std::uint64_t seed);
-
-/// Greedy policy wrapping cached parameters.
-std::unique_ptr<rl::MlpPolicy> make_policy(const genet::TaskAdapter& adapter,
-                                           const std::vector<double>& params);
 
 /// Per-config sweep engine: runs `body(index, rng)` for every index in
 /// [0, n) across the global netgym thread pool. One RNG stream per index is

@@ -95,6 +95,15 @@ bool cloneable(const netgym::Policy& policy) {
   return policy.clone() != nullptr;
 }
 
+/// `env` as the concrete environment type `E` (const-qualified for a const
+/// `env`); throws std::invalid_argument(`error`) for any other type.
+template <class E, class Base>
+E& env_as(Base& env, const char* error) {
+  auto* e = dynamic_cast<E*>(&env);
+  if (e == nullptr) throw std::invalid_argument(error);
+  return *e;
+}
+
 /// Step cap of `netgym::run_episode`'s default, which the serial eval path
 /// relies on; the lockstep path must bound episodes identically.
 constexpr int kEvalMaxSteps = 100000;
@@ -237,6 +246,24 @@ double eval_gap_item(const TaskAdapter& task, netgym::Policy& policy,
   throw std::invalid_argument("eval_gap_item: unknown kind '" + kind + "'");
 }
 
+std::unique_ptr<TaskAdapter> make_adapter(const std::string& task,
+                                          int space_id,
+                                          TraceMixOptions traces) {
+  if (task == "abr") {
+    return std::make_unique<AbrAdapter>(space_id, std::move(traces));
+  }
+  if (task == "cc") {
+    return std::make_unique<CcAdapter>(space_id, std::move(traces));
+  }
+  if (task == "lb") {
+    if (!traces.corpus.empty()) {
+      throw std::invalid_argument("make_adapter: lb replays no traces");
+    }
+    return std::make_unique<LbAdapter>(space_id);
+  }
+  throw std::invalid_argument("unknown task '" + task + "' (want abr|cc|lb)");
+}
+
 std::unique_ptr<TaskAdapter> make_adapter_from_spec(const std::string& spec) {
   const std::size_t slash = spec.find('/');
   if (slash != std::string::npos && slash + 1 < spec.size()) {
@@ -246,11 +273,7 @@ std::unique_ptr<TaskAdapter> make_adapter_from_spec(const std::string& spec) {
     for (char c : id_text) digits = digits && c >= '0' && c <= '9';
     if (digits && id_text.size() <= 2) {
       const int space_id = std::stoi(id_text);
-      if (space_id >= 1 && space_id <= 3) {
-        if (name == "abr") return std::make_unique<AbrAdapter>(space_id);
-        if (name == "cc") return std::make_unique<CcAdapter>(space_id);
-        if (name == "lb") return std::make_unique<LbAdapter>(space_id);
-      }
+      if (space_id >= 1 && space_id <= 3) return make_adapter(name, space_id);
     }
   }
   throw std::invalid_argument("make_adapter_from_spec: unrecognized spec '" +
@@ -258,9 +281,42 @@ std::unique_ptr<TaskAdapter> make_adapter_from_spec(const std::string& spec) {
 }
 
 std::unique_ptr<netgym::Env> TaskAdapter::make_env_from_trace(
-    const netgym::Trace&, netgym::Rng&) const {
+    const netgym::Trace&, netgym::Rng&, const netgym::Config*) const {
   throw std::logic_error(name() + ": task has no trace-driven environments");
 }
+
+bool TaskAdapter::replays(traces::TraceSet) const { return false; }
+
+std::unique_ptr<rl::ActorCriticBase> TaskAdapter::make_trainer(
+    std::uint64_t seed) const {
+  return std::make_unique<rl::A2CTrainer>(obs_size_, action_count_,
+                                          rl::TrainerOptions{}, seed);
+}
+
+std::unique_ptr<rl::MlpPolicy> TaskAdapter::make_policy(
+    const std::vector<double>& params) const {
+  netgym::Rng init_rng(0);
+  auto policy = std::make_unique<rl::MlpPolicy>(
+      obs_size_, action_count_, rl::TrainerOptions{}.hidden, init_rng);
+  policy->restore(params);
+  policy->set_greedy(true);
+  return policy;
+}
+
+std::string TaskAdapter::dist_spec() const {
+  return name_ + "/" + std::to_string(space_id_);
+}
+
+TaskAdapter::TaskAdapter(std::string name, int space_id,
+                         netgym::ConfigSpace space, int obs_size,
+                         int action_count,
+                         const std::vector<std::string>& metric_names)
+    : name_(std::move(name)),
+      space_id_(space_id),
+      space_(std::move(space)),
+      obs_size_(obs_size),
+      action_count_(action_count),
+      metric_names_(&metric_names) {}
 
 double TaskAdapter::config_non_smoothness(const netgym::Config&,
                                           netgym::Rng&) const {
@@ -429,34 +485,50 @@ double gap_between(const TaskAdapter& task, netgym::Policy& policy,
 // ABR
 // ---------------------------------------------------------------------------
 
+const std::vector<std::string> kAbrMetrics = {"episode_reward", "rebuffer_s",
+                                              "bitrate_mbps"};
+
 AbrAdapter::AbrAdapter(int space_id, TraceMixOptions traces)
-    : space_(abr::abr_config_space(space_id)),
-      traces_(std::move(traces)),
-      space_id_(space_id) {}
+    : TaskAdapter("abr", space_id, abr::abr_config_space(space_id),
+                  abr::AbrEnv::kObsSize, abr::kBitrateCount, kAbrMetrics),
+      traces_(std::move(traces)) {}
 
 std::string AbrAdapter::dist_spec() const {
   // A loaded trace corpus cannot travel in a short spec; keep those local.
-  if (!traces_.corpus.empty()) return "";
-  return "abr/" + std::to_string(space_id_);
+  return traces_.corpus.empty() ? TaskAdapter::dist_spec() : "";
 }
-
-int AbrAdapter::obs_size() const { return abr::AbrEnv::kObsSize; }
-int AbrAdapter::action_count() const { return abr::kBitrateCount; }
 
 std::unique_ptr<netgym::Env> AbrAdapter::make_env(
     const netgym::Config& config, netgym::Rng& rng) const {
   const abr::AbrEnvConfig cfg = abr::abr_config_from_point(config);
   if (!traces_.corpus.empty() && rng.bernoulli(traces_.trace_prob)) {
-    const netgym::Trace& trace =
-        matching_trace(traces_.corpus, cfg.max_bw_mbps, rng);
-    return abr::make_abr_env(cfg, trace, rng);
+    return make_env_from_trace(
+        matching_trace(traces_.corpus, cfg.max_bw_mbps, rng), rng, &config);
   }
   return abr::make_abr_env(cfg, rng);
 }
 
 std::unique_ptr<netgym::Env> AbrAdapter::make_env_from_trace(
-    const netgym::Trace& trace, netgym::Rng& rng) const {
-  return abr::make_abr_env(abr::AbrEnvConfig{}, trace, rng);
+    const netgym::Trace& trace, netgym::Rng& rng,
+    const netgym::Config* point) const {
+  return abr::make_abr_env(
+      point != nullptr ? abr::abr_config_from_point(*point)
+                       : abr::AbrEnvConfig{},
+      trace, rng);
+}
+
+bool AbrAdapter::replays(traces::TraceSet set) const {
+  return traces::info(set).for_abr;
+}
+
+void AbrAdapter::session_metrics(const netgym::Env& env,
+                                 const netgym::EpisodeStats& stats,
+                                 std::span<double> out) const {
+  const auto& e =
+      env_as<const abr::AbrEnv>(env, "AbrAdapter: env is not an AbrEnv");
+  out[0] = stats.mean_reward;
+  out[1] = e.totals().mean_rebuffer_s();
+  out[2] = e.totals().mean_bitrate_mbps();
 }
 
 std::vector<std::string> AbrAdapter::baseline_names() const {
@@ -473,11 +545,10 @@ std::unique_ptr<netgym::Policy> AbrAdapter::make_baseline(
 }
 
 double AbrAdapter::optimal_mean_reward(netgym::Env& env, netgym::Rng&) const {
-  auto* abr_env = dynamic_cast<abr::AbrEnv*>(&env);
-  if (abr_env == nullptr) {
-    throw std::invalid_argument("AbrAdapter: env is not an AbrEnv");
-  }
-  return abr::offline_optimal(*abr_env, /*beam_width=*/32).mean_reward;
+  return abr::offline_optimal(
+             env_as<abr::AbrEnv>(env, "AbrAdapter: env is not an AbrEnv"),
+             /*beam_width=*/32)
+      .mean_reward;
 }
 
 double AbrAdapter::config_non_smoothness(const netgym::Config& config,
@@ -492,51 +563,57 @@ double AbrAdapter::config_non_smoothness(const netgym::Config& config,
   return total / kSamples;
 }
 
-std::unique_ptr<rl::ActorCriticBase> AbrAdapter::make_trainer(
-    std::uint64_t seed) const {
-  rl::TrainerOptions options;  // Pensieve trains with A3C; A2C here.
-  return std::make_unique<rl::A2CTrainer>(obs_size(), action_count(), options,
-                                          seed);
-}
-
 // ---------------------------------------------------------------------------
 // CC
 // ---------------------------------------------------------------------------
 
+const std::vector<std::string> kCcMetrics = {"episode_reward", "queue_delay_s",
+                                             "throughput_mbps"};
+
 CcAdapter::CcAdapter(int space_id, TraceMixOptions traces,
                      bool use_packet_sim)
-    : space_(cc::cc_config_space(space_id)),
+    : TaskAdapter("cc", space_id, cc::cc_config_space(space_id),
+                  cc::CcEnv::kObsSize, cc::kRateActionCount, kCcMetrics),
       traces_(std::move(traces)),
-      use_packet_sim_(use_packet_sim),
-      space_id_(space_id) {}
+      use_packet_sim_(use_packet_sim) {}
 
 std::string CcAdapter::dist_spec() const {
   if (!traces_.corpus.empty() || use_packet_sim_) return "";
-  return "cc/" + std::to_string(space_id_);
+  return TaskAdapter::dist_spec();
 }
-
-int CcAdapter::obs_size() const { return cc::CcEnv::kObsSize; }
-int CcAdapter::action_count() const { return cc::kRateActionCount; }
 
 std::unique_ptr<netgym::Env> CcAdapter::make_env(const netgym::Config& config,
                                                  netgym::Rng& rng) const {
   const cc::CcEnvConfig cfg = cc::cc_config_from_point(config);
   if (!traces_.corpus.empty() && rng.bernoulli(traces_.trace_prob)) {
-    const netgym::Trace& trace =
-        matching_trace(traces_.corpus, cfg.max_bw_mbps, rng);
-    if (use_packet_sim_) return cc::make_packet_cc_env(cfg, trace, rng);
-    return cc::make_cc_env(cfg, trace, rng);
+    return make_env_from_trace(
+        matching_trace(traces_.corpus, cfg.max_bw_mbps, rng), rng, &config);
   }
   if (use_packet_sim_) return cc::make_packet_cc_env(cfg, rng);
   return cc::make_cc_env(cfg, rng);
 }
 
 std::unique_ptr<netgym::Env> CcAdapter::make_env_from_trace(
-    const netgym::Trace& trace, netgym::Rng& rng) const {
-  if (use_packet_sim_) {
-    return cc::make_packet_cc_env(cc::CcEnvConfig{}, trace, rng);
-  }
-  return cc::make_cc_env(cc::CcEnvConfig{}, trace, rng);
+    const netgym::Trace& trace, netgym::Rng& rng,
+    const netgym::Config* point) const {
+  const cc::CcEnvConfig cfg =
+      point != nullptr ? cc::cc_config_from_point(*point) : cc::CcEnvConfig{};
+  if (use_packet_sim_) return cc::make_packet_cc_env(cfg, trace, rng);
+  return cc::make_cc_env(cfg, trace, rng);
+}
+
+bool CcAdapter::replays(traces::TraceSet set) const {
+  return !traces::info(set).for_abr;
+}
+
+void CcAdapter::session_metrics(const netgym::Env& env,
+                                const netgym::EpisodeStats& stats,
+                                std::span<double> out) const {
+  const auto& e = env_as<const cc::CcEnv>(env, "CcAdapter: env is not a CcEnv");
+  out[0] = stats.mean_reward;
+  out[1] = std::max(
+      e.totals().mean_latency_s() - e.config().min_rtt_ms / 1000.0, 0.0);
+  out[2] = e.totals().mean_throughput_mbps(std::max(e.clock_s(), 1e-9));
 }
 
 std::vector<std::string> CcAdapter::baseline_names() const {
@@ -550,11 +627,8 @@ std::unique_ptr<netgym::Policy> CcAdapter::make_baseline(
   if (name == "vivace") return std::make_unique<cc::VivacePolicy>();
   if (name == "copa") return std::make_unique<cc::CopaPolicy>();
   if (name == "oracle") {
-    const auto* cc_env = dynamic_cast<const cc::CcEnv*>(&env);
-    if (cc_env == nullptr) {
-      throw std::invalid_argument("CcAdapter: env is not a CcEnv");
-    }
-    return std::make_unique<cc::OraclePolicy>(*cc_env);
+    return std::make_unique<cc::OraclePolicy>(
+        env_as<const cc::CcEnv>(env, "CcAdapter: env is not a CcEnv"));
   }
   throw std::invalid_argument("CcAdapter: unknown baseline '" + name + "'");
 }
@@ -563,13 +637,10 @@ double CcAdapter::optimal_mean_reward(netgym::Env& env,
                                       netgym::Rng& rng) const {
   // The oracle reads the trace through a fluid CcEnv; gap-to-optimum is
   // only supported on the fluid backend.
-  auto* cc_env = dynamic_cast<cc::CcEnv*>(&env);
-  if (cc_env == nullptr) {
-    throw std::invalid_argument(
-        "CcAdapter: gap-to-optimum needs the fluid CcEnv backend");
-  }
-  cc::OraclePolicy oracle(*cc_env);
-  return netgym::run_episode(*cc_env, oracle, rng).mean_reward;
+  auto& cc_env = env_as<cc::CcEnv>(
+      env, "CcAdapter: gap-to-optimum needs the fluid CcEnv backend");
+  cc::OraclePolicy oracle(cc_env);
+  return netgym::run_episode(cc_env, oracle, rng).mean_reward;
 }
 
 double CcAdapter::config_non_smoothness(const netgym::Config& config,
@@ -596,19 +667,26 @@ std::unique_ptr<rl::ActorCriticBase> CcAdapter::make_trainer(
 // LB
 // ---------------------------------------------------------------------------
 
+const std::vector<std::string> kLbMetrics = {"episode_reward", "job_slowdown",
+                                             "job_delay_s"};
+
 LbAdapter::LbAdapter(int space_id)
-    : space_(lb::lb_config_space(space_id)), space_id_(space_id) {}
-
-std::string LbAdapter::dist_spec() const {
-  return "lb/" + std::to_string(space_id_);
-}
-
-int LbAdapter::obs_size() const { return lb::LbEnv::kObsSize; }
-int LbAdapter::action_count() const { return lb::kNumServers; }
+    : TaskAdapter("lb", space_id, lb::lb_config_space(space_id),
+                  lb::LbEnv::kObsSize, lb::kNumServers, kLbMetrics) {}
 
 std::unique_ptr<netgym::Env> LbAdapter::make_env(const netgym::Config& config,
                                                  netgym::Rng& rng) const {
   return lb::make_lb_env(lb::lb_config_from_point(config), rng);
+}
+
+void LbAdapter::session_metrics(const netgym::Env& env,
+                                const netgym::EpisodeStats& stats,
+                                std::span<double> out) const {
+  const auto& e =
+      env_as<const lb::LbEnv>(env, "LbAdapter: env is not an LbEnv");
+  out[0] = stats.mean_reward;
+  out[1] = e.totals().mean_slowdown();
+  out[2] = e.totals().mean_delay_s();
 }
 
 std::vector<std::string> LbAdapter::baseline_names() const {
@@ -628,30 +706,17 @@ std::unique_ptr<netgym::Policy> LbAdapter::make_baseline(
   if (name == "po2") return std::make_unique<lb::PowerOfTwoPolicy>();
   if (name == "naive") return std::make_unique<lb::NaiveLbPolicy>();
   if (name == "oracle") {
-    const auto* lb_env = dynamic_cast<const lb::LbEnv*>(&env);
-    if (lb_env == nullptr) {
-      throw std::invalid_argument("LbAdapter: env is not an LbEnv");
-    }
-    return std::make_unique<lb::OracleLbPolicy>(*lb_env);
+    return std::make_unique<lb::OracleLbPolicy>(
+        env_as<const lb::LbEnv>(env, "LbAdapter: env is not an LbEnv"));
   }
   throw std::invalid_argument("LbAdapter: unknown baseline '" + name + "'");
 }
 
 double LbAdapter::optimal_mean_reward(netgym::Env& env,
                                       netgym::Rng& rng) const {
-  auto* lb_env = dynamic_cast<lb::LbEnv*>(&env);
-  if (lb_env == nullptr) {
-    throw std::invalid_argument("LbAdapter: env is not an LbEnv");
-  }
-  lb::OracleLbPolicy oracle(*lb_env);
-  return netgym::run_episode(*lb_env, oracle, rng).mean_reward;
-}
-
-std::unique_ptr<rl::ActorCriticBase> LbAdapter::make_trainer(
-    std::uint64_t seed) const {
-  rl::TrainerOptions options;  // Park's LB example trains with A3C-style PG.
-  return std::make_unique<rl::A2CTrainer>(obs_size(), action_count(), options,
-                                          seed);
+  auto& lb_env = env_as<lb::LbEnv>(env, "LbAdapter: env is not an LbEnv");
+  lb::OracleLbPolicy oracle(lb_env);
+  return netgym::run_episode(lb_env, oracle, rng).mean_reward;
 }
 
 }  // namespace genet

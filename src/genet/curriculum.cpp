@@ -114,16 +114,11 @@ CurriculumScheme::Selection SelfPlayScheme::select(
     reference_params_ = mlp->snapshot();
     reference_score_ = current_score;
   }
-  rl::TrainerOptions defaults;
-  netgym::Rng init_rng(0);
-  rl::MlpPolicy reference(task.obs_size(), task.action_count(),
-                          defaults.hidden, init_rng);
-  reference.restore(reference_params_);
-  reference.set_greedy(true);
+  const auto reference = task.make_policy(reference_params_);
 
   return bo_search(task, options_, rng, round, name(),
                    [&](const netgym::Config& config) {
-                     return gap_between(task, current_policy, reference,
+                     return gap_between(task, current_policy, *reference,
                                         config, options_.envs_per_eval, rng);
                    });
 }

@@ -7,6 +7,13 @@
 
 namespace genet {
 
+/// The text format every trained policy's parameters are stored in: the
+/// count, then one value per line at 17 significant digits (a bit-exact
+/// round trip). Both throw std::runtime_error naming `path` on an I/O error
+/// or a truncated file.
+void save_params(const std::string& path, const std::vector<double>& params);
+std::vector<double> load_params(const std::string& path);
+
 /// Tiny on-disk cache of trained policy parameters, shared by the benchmark
 /// harnesses so that, e.g., the Genet-trained ABR policy used by Fig. 9 is
 /// trained once and reused by Figs. 10, 13, 15 and 17. Keys are canonical

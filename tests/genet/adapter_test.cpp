@@ -204,6 +204,74 @@ TEST(Adapters, TraceDrivenEnvsWorkForEveryMatchingSet) {
   }
 }
 
+TEST(TaskRegistry, ResolvesEveryTaskName) {
+  for (const char* task : {"abr", "cc", "lb"}) {
+    const auto adapter = genet::make_adapter(task, 2);
+    EXPECT_EQ(adapter->name(), task);
+    EXPECT_EQ(adapter->dist_spec(), std::string(task) + "/2");
+    EXPECT_EQ(genet::make_adapter_from_spec(adapter->dist_spec())->name(),
+              task);
+  }
+  EXPECT_THROW(genet::make_adapter("dns", 1), std::invalid_argument);
+  EXPECT_THROW(genet::make_adapter_from_spec("dns/1"), std::invalid_argument);
+  genet::TraceMixOptions mix;
+  mix.corpus = {traces::make_trace(traces::TraceSet::kFcc, false, 0)};
+  EXPECT_THROW(genet::make_adapter("lb", 1, mix), std::invalid_argument);
+  EXPECT_EQ(genet::make_adapter("abr", 1, mix)->dist_spec(), "");
+}
+
+TEST(TaskRegistry, EachTaskReplaysOnlyItsOwnTraceSets) {
+  for (auto set : traces::all_sets()) {
+    const bool for_abr = traces::info(set).for_abr;
+    EXPECT_EQ(AbrAdapter(1).replays(set), for_abr);
+    EXPECT_EQ(CcAdapter(1).replays(set), !for_abr);
+    EXPECT_FALSE(LbAdapter(1).replays(set));
+  }
+}
+
+TEST(Adapters, TraceDrivenEnvTakesTheConfigPoint) {
+  AbrAdapter adapter(1);
+  const netgym::Config point = adapter.space().midpoint();
+  const netgym::Trace trace =
+      traces::make_trace(traces::TraceSet::kFcc, false, 1);
+  Rng rng(5);
+  auto with_point = adapter.make_env_from_trace(trace, rng, &point);
+  auto without = adapter.make_env_from_trace(trace, rng);
+  const auto& a = dynamic_cast<const abr::AbrEnv&>(*with_point);
+  const auto& b = dynamic_cast<const abr::AbrEnv&>(*without);
+  EXPECT_EQ(a.config().max_buffer_s,
+            abr::abr_config_from_point(point).max_buffer_s);
+  EXPECT_EQ(b.config().max_buffer_s, abr::AbrEnvConfig{}.max_buffer_s);
+  EXPECT_EQ(a.trace().bandwidth_mbps, trace.bandwidth_mbps);
+}
+
+TEST(Adapters, SessionMetricsFillEveryNamedSlot) {
+  for (const char* task : {"abr", "cc", "lb"}) {
+    const auto owned = genet::make_adapter(task, 1);
+    const genet::TaskAdapter& adapter = *owned;
+    const auto& names = adapter.session_metric_names();
+    ASSERT_EQ(names.size(), 3u) << task;
+    EXPECT_EQ(names.front(), "episode_reward") << task;
+    Rng rng(7);
+    auto env = adapter.make_env(adapter.space().midpoint(), rng);
+    FixedAction policy(0);
+    const netgym::EpisodeStats stats = netgym::run_episode(*env, policy, rng);
+    std::vector<double> out(names.size(), -1.0);
+    adapter.session_metrics(*env, stats, out);
+    EXPECT_EQ(out[0], stats.mean_reward) << task;
+    for (std::size_t m = 1; m < out.size(); ++m) {
+      EXPECT_TRUE(std::isfinite(out[m])) << task << " " << names[m];
+      EXPECT_GE(out[m], 0.0) << task << " " << names[m];
+    }
+  }
+  // An environment of another task is rejected, not misread.
+  Rng rng(1);
+  auto lb_env = LbAdapter(1).make_env(LbAdapter(1).space().midpoint(), rng);
+  std::vector<double> out(3);
+  EXPECT_THROW(AbrAdapter(1).session_metrics(*lb_env, {}, out),
+               std::invalid_argument);
+}
+
 TEST(TestPerTrace, ReturnsOneRewardPerTrace) {
   AbrAdapter adapter(3);
   FixedAction policy(0);

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,6 +33,7 @@
 #include "fleet/report.hpp"
 #include "genet/adapter.hpp"
 #include "genet/curriculum.hpp"
+#include "genet/zoo.hpp"
 #include "netgym/checkpoint.hpp"
 #include "netgym/exposition.hpp"
 #include "netgym/flight.hpp"
@@ -147,28 +149,6 @@ every command also accepts:
 
 using Options = std::map<std::string, std::string>;
 
-void save_params(const std::string& path, const std::vector<double>& params) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out.precision(17);
-  out << params.size() << "\n";
-  for (double p : params) out << p << "\n";
-}
-
-std::vector<double> load_params(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::size_t n = 0;
-  in >> n;
-  std::vector<double> params(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(in >> params[i])) {
-      throw std::runtime_error("truncated model file " + path);
-    }
-  }
-  return params;
-}
-
 Options parse(int argc, char** argv, int first) {
   Options options;
   for (int i = first; i < argc; ++i) {
@@ -199,15 +179,19 @@ std::string require(const Options& options, const std::string& key) {
 // Validated numeric option parsing: every numeric flag goes through these, so
 // `--iters 3x0` fails with a clear message instead of an uncaught
 // std::invalid_argument from a raw std::stoi (and trailing garbage is an
-// error instead of being silently ignored).
+// error instead of being silently ignored), and a value outside [lo, hi]
+// fails instead of being narrowed.
 
-long long parse_integer(const std::string& flag, const std::string& value) {
+long long parse_integer(
+    const std::string& flag, const std::string& value,
+    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
   std::int64_t result = 0;
   if (!netgym::parse_i64(value, result)) {
     throw std::invalid_argument("--" + flag + " expects an integer, got '" +
                                 value + "'");
   }
-  return result;
+  return netgym::parse_i64_in_range(("--" + flag).c_str(), value, lo, hi);
 }
 
 double parse_number(const std::string& flag, const std::string& value) {
@@ -222,7 +206,9 @@ double parse_number(const std::string& flag, const std::string& value) {
 int get_int(const Options& options, const std::string& key, int fallback) {
   const auto it = options.find(key);
   if (it == options.end()) return fallback;
-  return static_cast<int>(parse_integer(key, it->second));
+  return static_cast<int>(parse_integer(key, it->second,
+                                        std::numeric_limits<int>::min(),
+                                        std::numeric_limits<int>::max()));
 }
 
 std::uint64_t get_seed(const Options& options) {
@@ -243,19 +229,6 @@ double get_double(const Options& options, const std::string& key,
   return parse_number(key, it->second);
 }
 
-std::unique_ptr<genet::TaskAdapter> adapter_for(const Options& options) {
-  const std::string task = require(options, "task");
-  const int space = get_int(options, "space", 3);
-  if (task == "abr") return std::make_unique<genet::AbrAdapter>(space);
-  if (task == "cc") return std::make_unique<genet::CcAdapter>(space);
-  if (task == "lb") return std::make_unique<genet::LbAdapter>(space);
-  usage("unknown --task (want abr|cc|lb)");
-}
-
-std::string default_baseline(const genet::TaskAdapter& adapter) {
-  return adapter.baseline_names().front();
-}
-
 traces::TraceSet trace_set_for(const std::string& name) {
   if (name == "fcc") return traces::TraceSet::kFcc;
   if (name == "norway") return traces::TraceSet::kNorway;
@@ -274,14 +247,15 @@ std::string checkpoint_dir_of(const Options& options) {
 }
 
 int cmd_train(const Options& options) {
-  auto adapter = adapter_for(options);
+  auto adapter = genet::make_adapter(require(options, "task"),
+                                     get_int(options, "space", 3));
   const std::string method = get(options, "method", "genet");
   const std::string out = require(options, "out");
   const std::uint64_t seed = get_seed(options);
   const int iters = get_int(options, "iters", 900);
   const int rounds = get_int(options, "rounds", 9);
   const std::string baseline =
-      get(options, "baseline", default_baseline(*adapter));
+      get(options, "baseline", adapter->baseline_names().front());
 
   // Distributed training (DESIGN.md S5i): env var configures jobs globally,
   // the flag overrides per run, garbage in either fails loudly naming the
@@ -422,28 +396,33 @@ int cmd_train(const Options& options) {
                 "death\n",
                 static_cast<long long>(coordinator->reassignments()));
   }
-  save_params(out, params);
+  genet::save_params(out, params);
   std::printf("saved %zu parameters to %s\n", params.size(), out.c_str());
   return 0;
 }
 
 int cmd_eval(const Options& options) {
-  auto adapter = adapter_for(options);
-  const std::string model = require(options, "model");
-  netgym::Rng init(0);
-  rl::TrainerOptions defaults;
-  rl::MlpPolicy policy(adapter->obs_size(), adapter->action_count(),
-                       defaults.hidden, init);
-  policy.restore(load_params(model));
-  policy.set_greedy(true);
+  auto adapter = genet::make_adapter(require(options, "task"),
+                                     get_int(options, "space", 3));
+  const auto policy = adapter->make_policy(
+      genet::load_params(require(options, "model")));
 
   if (options.count("trace-set") != 0U) {
     const traces::TraceSet set = trace_set_for(require(options, "trace-set"));
-    const bool test = get(options, "split", "test") == "test";
+    if (!adapter->replays(set)) {
+      throw std::invalid_argument("trace set " + traces::info(set).name +
+                                  " does not drive task '" + adapter->name() +
+                                  "'");
+    }
+    const std::string split = get(options, "split", "test");
+    if (split != "train" && split != "test") {
+      usage("--split expects train or test");
+    }
+    const bool test = split == "test";
     const auto corpus = traces::make_corpus(set, test);
     netgym::Rng rng(9);
     const auto rewards =
-        genet::test_per_trace(*adapter, policy, corpus, rng);
+        genet::test_per_trace(*adapter, *policy, corpus, rng);
     std::printf("%zu traces from %s (%s split): mean reward %.4f "
                 "(min %.4f, median %.4f, max %.4f)\n",
                 corpus.size(), traces::info(set).name.c_str(),
@@ -455,7 +434,7 @@ int cmd_eval(const Options& options) {
     netgym::ConfigDistribution dist(adapter->space());
     netgym::Rng rng(77);
     const double reward =
-        genet::test_on_distribution(*adapter, policy, dist, envs, rng);
+        genet::test_on_distribution(*adapter, *policy, dist, envs, rng);
     std::printf("%d synthetic environments: mean reward %.4f\n", envs,
                 reward);
   }
@@ -463,25 +442,20 @@ int cmd_eval(const Options& options) {
 }
 
 int cmd_search(const Options& options) {
-  auto adapter = adapter_for(options);
+  auto adapter = genet::make_adapter(require(options, "task"),
+                                     get_int(options, "space", 3));
   const std::string model = require(options, "model");
   const std::string baseline =
-      get(options, "baseline", default_baseline(*adapter));
+      get(options, "baseline", adapter->baseline_names().front());
   const int trials = get_int(options, "trials", 15);
   const std::uint64_t seed = get_seed(options);
-
-  netgym::Rng init(0);
-  rl::TrainerOptions defaults;
-  rl::MlpPolicy policy(adapter->obs_size(), adapter->action_count(),
-                       defaults.hidden, init);
-  policy.restore(load_params(model));
-  policy.set_greedy(true);
+  const auto policy = adapter->make_policy(genet::load_params(model));
 
   genet::SearchOptions search;
   search.bo_trials = trials;
   genet::GenetScheme scheme(baseline, search);
   netgym::Rng rng(seed);
-  const auto selection = scheme.select(*adapter, policy, 0, rng);
+  const auto selection = scheme.select(*adapter, *policy, 0, rng);
   std::printf("best gap-to-%s after %d BO trials: %.4f at\n",
               baseline.c_str(), trials, selection.score);
   const netgym::ConfigSpace& space = adapter->space();
@@ -521,25 +495,23 @@ int cmd_trace(const Options& options) {
 }
 
 int cmd_export(const Options& options) {
-  auto adapter = adapter_for(options);
+  auto adapter = genet::make_adapter(require(options, "task"),
+                                     get_int(options, "space", 3));
   const std::string model = require(options, "model");
   const std::string out = require(options, "out");
   const auto parent = std::filesystem::path(out).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
-  netgym::Rng init(0);
-  rl::TrainerOptions defaults;
-  rl::MlpPolicy policy(adapter->obs_size(), adapter->action_count(),
-                       defaults.hidden, init);
-  policy.restore(load_params(model));
-  serve::write_policy_checkpoint(policy, adapter->name(), out);
+  const auto policy = adapter->make_policy(genet::load_params(model));
+  serve::write_policy_checkpoint(*policy, adapter->name(), out);
   std::printf("exported %s policy (%zu parameters) to %s\n",
-              adapter->name().c_str(), policy.snapshot().size(), out.c_str());
+              adapter->name().c_str(), policy->snapshot().size(), out.c_str());
   return 0;
 }
 
 int cmd_fleet(const Options& options) {
   const std::string task = require(options, "task");
-  fleet::metric_names(task);  // validates the task name before heavy setup
+  // Validates the task name before heavy setup.
+  const auto adapter = genet::make_adapter(task, 1);
 
   std::unique_ptr<rl::MlpPolicy> policy;
   if (options.count("checkpoint") != 0U) {
@@ -551,13 +523,8 @@ int cmd_fleet(const Options& options) {
     }
     policy = version.instantiate();
   } else {
-    const std::string model = require(options, "model");
-    netgym::Rng init(0);
-    rl::TrainerOptions defaults;
-    policy = std::make_unique<rl::MlpPolicy>(fleet::task_obs_size(task),
-                                             fleet::task_action_count(task),
-                                             defaults.hidden, init);
-    policy->restore(load_params(model));
+    policy =
+        adapter->make_policy(genet::load_params(require(options, "model")));
   }
   policy->set_greedy(true);
 
@@ -631,8 +598,7 @@ int main(int argc, char** argv) {
   }
   try {
     if (options.count("threads") != 0U) {
-      netgym::set_num_threads(static_cast<int>(
-          parse_integer("threads", options.at("threads"))));
+      netgym::set_num_threads(get_int(options, "threads", 0));
     }
     if (options.count("math") != 0U) {
       try {
