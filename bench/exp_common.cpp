@@ -31,6 +31,14 @@ std::string checkpoint_path_for(const std::string& key) {
   return (std::filesystem::path(g_checkpoint_dir) / (key + ".ckpt")).string();
 }
 
+[[noreturn]] void common_flags_usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--threads N] [--log-file F] [--trace-out F] "
+               "[--flight-out F] [--checkpoint-dir D]\n",
+               argv0);
+  std::exit(2);
+}
+
 }  // namespace
 
 void set_checkpoint_dir(const std::string& dir) { g_checkpoint_dir = dir; }
@@ -162,36 +170,42 @@ void parallel_sweep(int n, std::uint64_t seed,
 }
 
 void parse_common_flags(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
+  for (int i = 1; i < argc; ++i) {
+    const char* flag = argv[i];
+    const bool known = std::strcmp(flag, "--threads") == 0 ||
+                       std::strcmp(flag, "--log-file") == 0 ||
+                       std::strcmp(flag, "--trace-out") == 0 ||
+                       std::strcmp(flag, "--flight-out") == 0 ||
+                       std::strcmp(flag, "--checkpoint-dir") == 0;
+    if (!known) continue;
+    // A known flag with no value is an error, not a request for defaults.
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "error: %s expects a value\n", flag);
+      common_flags_usage(argv[0]);
+    }
+    const char* value = argv[++i];
+    if (std::strcmp(flag, "--threads") == 0) {
       // Strict parse: garbage, values below 1 and values beyond int exit
       // nonzero with a usage message instead of picking a thread count.
       std::int64_t threads = 0;
       try {
         threads = netgym::parse_i64_in_range(
-            "--threads", argv[i + 1], 1, std::numeric_limits<int>::max());
+            "--threads", value, 1, std::numeric_limits<int>::max());
       } catch (const std::invalid_argument&) {
         std::fprintf(stderr,
-                     "error: --threads expects a positive integer, got '%s'\n"
-                     "usage: %s [--threads N] [--log-file F] [--trace-out F] "
-                     "[--flight-out F] [--checkpoint-dir D]\n",
-                     argv[i + 1], argv[0]);
-        std::exit(2);
+                     "error: --threads expects a positive integer, got '%s'\n",
+                     value);
+        common_flags_usage(argv[0]);
       }
       netgym::set_num_threads(static_cast<int>(threads));
-      ++i;
-    } else if (std::strcmp(argv[i], "--log-file") == 0) {
-      netgym::telemetry::open_global_logger(argv[i + 1]);
-      ++i;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      netgym::tracing::install(argv[i + 1]);
-      ++i;
-    } else if (std::strcmp(argv[i], "--flight-out") == 0) {
-      netgym::flight::install(argv[i + 1]);
-      ++i;
-    } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0) {
-      set_checkpoint_dir(argv[i + 1]);
-      ++i;
+    } else if (std::strcmp(flag, "--log-file") == 0) {
+      netgym::telemetry::open_global_logger(value);
+    } else if (std::strcmp(flag, "--trace-out") == 0) {
+      netgym::tracing::install(value);
+    } else if (std::strcmp(flag, "--flight-out") == 0) {
+      netgym::flight::install(value);
+    } else {
+      set_checkpoint_dir(value);
     }
   }
 }

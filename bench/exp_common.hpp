@@ -76,7 +76,8 @@ void parallel_sweep(int n, std::uint64_t seed,
 ///                       from it when present, so a killed harness re-run
 ///                       picks up mid-training with bit-identical results
 /// Unrecognized arguments are ignored so harnesses stay free to add their
-/// own. Call from main() before any work starts.
+/// own; a known flag with a missing or bad value exits 2 with a usage line.
+/// Call from main() before any work starts.
 void parse_common_flags(int argc, char** argv);
 
 /// Snapshot directory used by `traditional_params`/`curriculum_params`

@@ -6,28 +6,10 @@ combined output back into one block per experiment and converts every
 whitespace-aligned table row into CSV, so the figures can be re-plotted with
 any tool. Pure stdlib, no dependencies.
 
-A `BENCH_*.json` report (e.g. BENCH_throughput.json from bench_throughput)
-can be passed instead of the text log: every top-level array-of-objects
-section becomes its own CSV (keys in first-row order), so the perf
-trajectory plots share the pipeline with the figure tables.
-
-BENCH_fleet.json nests per-scenario metric and SLO lists inside the
-"scenarios" array, which the generic flattener can't represent; fleet
-reports instead produce three CSVs — <stem>_scenarios.csv (one row per
-scenario, scalar fields only), <stem>_metrics.csv and <stem>_slos.csv
-(one row per scenario x metric/SLO, scenario name in the first column).
-
-BENCH_serve.json similarly produces <stem>_summary.csv (the scalar run
-header with the latency percentiles inlined as latency_*_ms columns) and,
-when the report carries the per-phase attribution block, <stem>_phases.csv
-with one row per phase (queue/batch/forward/write/total) and the
-count/mean_ms/p50_ms/p99_ms/max_ms columns.
-
 Usage:
-    python3 scripts/bench_to_csv.py [bench_output.txt | BENCH_x.json] [output_dir]
+    python3 scripts/bench_to_csv.py [bench_output.txt] [output_dir]
 """
 
-import json
 import os
 import re
 import sys
@@ -147,124 +129,9 @@ def metrics_rows(block):
     return rows, rest
 
 
-def write_csv(path, columns, rows):
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
-
-
-def fleet_to_csv(doc, stem, out_dir):
-    """Flatten a "bench": "fleet" report into scenario/metric/SLO CSVs.
-
-    The scenarios rows keep only scalar fields (the nested metrics/slos
-    lists would otherwise be stringified into unusable cells); the metric
-    and SLO tables get one row per scenario x entry with the scenario name
-    as the join key.
-    """
-    scenarios = doc.get("scenarios") or []
-    scenario_rows = []
-    metric_rows = []
-    slo_rows = []
-    for sc in scenarios:
-        scenario_rows.append(
-            {k: v for k, v in sc.items() if not isinstance(v, (list, dict))}
-        )
-        for m in sc.get("metrics") or []:
-            metric_rows.append({"scenario": sc.get("name", ""), **m})
-        for s in sc.get("slos") or []:
-            slo_rows.append({"scenario": sc.get("name", ""), **s})
-    count = 0
-    for section, rows in (
-        ("scenarios", scenario_rows),
-        ("metrics", metric_rows),
-        ("slos", slo_rows),
-    ):
-        if not rows:
-            continue
-        write_csv(
-            os.path.join(out_dir, f"{stem}_{section}.csv"),
-            list(rows[0].keys()),
-            rows,
-        )
-        count += 1
-    return count
-
-
-def serve_to_csv(doc, stem, out_dir):
-    """Flatten a "bench": "serve" report into summary + per-phase CSVs.
-
-    The phase table is the plot-ready form of the serve.phase.* histograms:
-    one row per phase so a stacked latency-attribution bar falls out of a
-    single groupby.
-    """
-    count = 0
-    summary = {
-        k: v for k, v in doc.items() if not isinstance(v, (list, dict))
-    }
-    for key, value in (doc.get("latency_ms") or {}).items():
-        summary[f"latency_{key}_ms"] = value
-    write_csv(
-        os.path.join(out_dir, f"{stem}_summary.csv"),
-        list(summary.keys()),
-        [summary],
-    )
-    count += 1
-    phase_rows = [
-        {"phase": name, **vals}
-        for name, vals in (doc.get("phases") or {}).items()
-        if isinstance(vals, dict)
-    ]
-    if phase_rows:
-        write_csv(
-            os.path.join(out_dir, f"{stem}_phases.csv"),
-            list(phase_rows[0].keys()),
-            phase_rows,
-        )
-        count += 1
-    return count
-
-
-def json_sections_to_csv(src, out_dir):
-    """Write one CSV per top-level list-of-objects section of a JSON report.
-
-    Column order follows the first row's keys; rows missing a key get an
-    empty cell. The file stem (e.g. "bench_throughput" for
-    BENCH_throughput.json) prefixes each CSV name.
-    """
-    with open(src, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        print(f"{src}: top level is not a JSON object", file=sys.stderr)
-        return None
-    stem = slugify(os.path.splitext(os.path.basename(src))[0])
-    if doc.get("bench") == "fleet":
-        return fleet_to_csv(doc, stem, out_dir)
-    if doc.get("bench") == "serve":
-        return serve_to_csv(doc, stem, out_dir)
-    count = 0
-    for section, rows in doc.items():
-        if not isinstance(rows, list) or not rows:
-            continue
-        if not all(isinstance(r, dict) for r in rows):
-            continue
-        columns = list(rows[0].keys())
-        write_csv(os.path.join(out_dir, f"{stem}_{slugify(section)}.csv"),
-                  columns, rows)
-        count += 1
-    return count
-
-
 def main() -> int:
     src = sys.argv[1] if len(sys.argv) > 1 else "bench_output.txt"
     out_dir = sys.argv[2] if len(sys.argv) > 2 else "bench_csv"
-    if src.endswith(".json"):
-        os.makedirs(out_dir, exist_ok=True)
-        count = json_sections_to_csv(src, out_dir)
-        if count is None:
-            return 1
-        print(f"wrote {count} CSV files to {out_dir}/")
-        return 0
     with open(src, encoding="utf-8") as handle:
         lines = handle.readlines()
     os.makedirs(out_dir, exist_ok=True)

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Render BENCH_fleet.json as a per-scenario markdown SLO report.
+"""Render a fleet JSON report as a per-scenario markdown SLO report.
 
-Input is the "bench": "fleet" document written by bench/bench_fleet or
-`genet fleet --json` (schema validated by scripts/check_bench_json.py).
-Output is one markdown section per scenario: a population-percentile table
-over the streamed per-session metrics (count, mean, p50, p90, p99, p99.9,
-max, plus the exact/approximate flag from the histogram) and an SLO table
-with the measured compliant fraction against each target. A header block
-records the run shape (sessions, throughput, shard count, determinism
-re-assertion) and a fleet-wide SLO scoreboard.
+Input is the "bench": "fleet" document written by `genet fleet --json`
+(its arithmetic is pinned by the FleetReport unit test). Output is one
+markdown section per scenario: a population-percentile table over the
+streamed per-session metrics (count, mean, p50, p90, p99, p99.9, max, plus
+the exact/approximate flag from the histogram) and an SLO table with the
+measured compliant fraction against each target. A header block
+records the run shape (sessions, throughput, shard count) and a fleet-wide
+SLO scoreboard.
 
 Percentiles marked `approx` came from the log-bucket tail of the merged
 histograms (past the 4096-sample exact cap) and carry a <= 9.05% relative
@@ -16,7 +16,8 @@ error bound (see DESIGN.md S5h); `exact` rows were computed from sorted
 samples.
 
 Usage:
-    python3 scripts/slo_report.py BENCH_fleet.json [-o SLO_REPORT.md]
+    genet fleet --task lb --model M --json fleet.json
+    python3 scripts/slo_report.py fleet.json [-o slo_report.md]
 
 With no -o the markdown goes to stdout. Pure stdlib, no dependencies.
 """
@@ -116,14 +117,6 @@ def scenario_section(sc):
 def render(doc):
     slos = [s for sc in doc["scenarios"] for s in sc["slos"]]
     passing = sum(1 for s in slos if s["pass"])
-    det = doc["determinism"]
-    det_line = (
-        f"re-asserted at {det['threads_a']} vs {det['threads_b']} pool "
-        f"threads: canonical digests "
-        + ("**byte-identical**" if det["identical"] else "**DIFFERED**")
-        if det["checked"]
-        else "not re-asserted in this run"
-    )
 
     lines = [
         "# Fleet SLO report",
@@ -133,10 +126,8 @@ def render(doc):
         f"({doc['steps_total']:,} env steps)",
         f"- **Throughput**: {doc['sessions_per_s']:,.0f} sessions/s "
         f"({doc['steps_per_s']:,.0f} steps/s) on {doc['threads']} "
-        f"thread(s), {doc['shards']} shards, seed {doc['seed']}"
-        + (", quick run" if doc["quick"] else ""),
+        f"thread(s), {doc['shards']} shards, seed {doc['seed']}",
         f"- **SLOs**: {passing}/{len(slos)} passing",
-        f"- **Determinism**: {det_line}",
         "",
     ]
     for sc in doc["scenarios"]:
@@ -181,11 +172,7 @@ def main() -> int:
     try:
         text = render(doc)
     except KeyError as err:
-        print(
-            f"{path}: missing field {err} — run "
-            "scripts/check_bench_json.py for a real diagnostic",
-            file=sys.stderr,
-        )
+        print(f"{path}: missing field {err}", file=sys.stderr)
         return 1
     if out_path is None:
         sys.stdout.write(text)

@@ -150,7 +150,8 @@ FleetResult run_fleet(const rl::MlpPolicy& policy,
 /// Canonical text serialization of every deterministic field of a result
 /// (doubles as %.17g bit-faithful decimals; wall-clock and thread count
 /// excluded). Two runs of the same fleet at different thread counts must
-/// produce byte-identical digests; ctest and bench_fleet compare these.
+/// produce byte-identical digests; fleet_test and the cli_fleet ctests
+/// compare these.
 std::string canonical_digest(const FleetResult& result);
 
 /// Deterministic tiny fleets (fixed-seed random-init policies) whose outputs

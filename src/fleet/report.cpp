@@ -67,16 +67,12 @@ void append_slo(std::string& out, const SloResult& s) {
 
 }  // namespace
 
-void write_fleet_json(const std::string& path, const FleetResult& r,
-                      const BenchInfo& info) {
+void write_fleet_json(const std::string& path, const FleetResult& r) {
   std::string out;
   out.reserve(4096);
   out += "{\n";
   out += "  \"bench\": \"fleet\",\n";
   out += "  \"schema_version\": 1,\n";
-  out += "  \"quick\": ";
-  out += jb(info.quick);
-  out += ",\n";
   out += "  \"seed\": " + ji(static_cast<std::int64_t>(r.seed)) + ",\n";
   out += "  \"threads\": " + ji(r.threads) + ",\n";
   out += "  \"shards\": " + ji(r.shards) + ",\n";
@@ -89,13 +85,6 @@ void write_fleet_json(const std::string& path, const FleetResult& r,
          jd(static_cast<double>(r.sessions) / dur) + ",\n";
   out += "  \"steps_per_s\": " + jd(static_cast<double>(r.steps) / dur) +
          ",\n";
-  out += "  \"determinism\": {\"checked\": ";
-  out += jb(info.determinism_checked);
-  out += ", \"threads_a\": " + ji(info.det_threads_a);
-  out += ", \"threads_b\": " + ji(info.det_threads_b);
-  out += ", \"identical\": ";
-  out += jb(info.determinism_identical);
-  out += "},\n";
   out += "  \"scenarios\": [\n";
   for (std::size_t i = 0; i < r.scenarios.size(); ++i) {
     const ScenarioResult& sc = r.scenarios[i];

@@ -6,29 +6,13 @@
 
 namespace fleet {
 
-/// Extra header fields of a BENCH_fleet.json document beyond the FleetResult
-/// itself. The determinism block records bench_fleet's re-assertion: the same
-/// reduced fleet run at `threads_a` and `threads_b` with canonical_digest
-/// compared byte-for-byte. A CLI run that skipped the re-assertion writes
-/// checked=false (scripts/check_bench_json.py only requires identical=true
-/// when checked).
-struct BenchInfo {
-  bool quick = false;
-  bool determinism_checked = false;
-  int det_threads_a = 1;
-  int det_threads_b = 4;
-  bool determinism_identical = false;
-};
-
-/// Write the "bench": "fleet" JSON document (schema_version 1) consumed by
-/// scripts/check_bench_json.py, scripts/slo_report.py, and
-/// scripts/bench_to_csv.py. Throws std::runtime_error when the file cannot
-/// be written.
-void write_fleet_json(const std::string& path, const FleetResult& result,
-                      const BenchInfo& info);
+/// Write the "bench": "fleet" JSON document (schema_version 1) rendered by
+/// scripts/slo_report.py. Throws std::runtime_error when the file cannot be
+/// written.
+void write_fleet_json(const std::string& path, const FleetResult& result);
 
 /// Human-readable per-scenario summary (percentile rows + SLO pass/fail),
-/// printed by bench_fleet and `genet fleet`.
+/// printed by `genet fleet`.
 std::string format_fleet_summary(const FleetResult& result);
 
 }  // namespace fleet

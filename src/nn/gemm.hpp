@@ -40,8 +40,8 @@ const char* math_mode_name(MathMode mode);
 bool cpu_has_avx2_fma();
 
 /// Human-readable name of the kernel the current mode would dispatch to
-/// ("scalar-tiled", "avx2-strict" or "avx2-fma"); recorded in
-/// BENCH_throughput.json.
+/// ("scalar-tiled", "avx2-strict" or "avx2-fma"); the batched-speedup test
+/// in gemm_test.cpp sets its floor from it.
 const char* active_kernel_name();
 
 // ---------------------------------------------------------------------------

@@ -112,11 +112,10 @@ void Server::stop() {
   std::lock_guard<std::mutex> stop_lock(stop_mu_);
   if (stop_.exchange(true)) return;
 
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Only shut the listener down here: that wakes the blocked accept() while
+  // the fd number stays reserved. Closing it now would race accept_loop()'s
+  // read of listen_fd_, and a reused fd number could land under accept().
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     // Wake blocked readers; their recv() returns 0/-1 and they exit.
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -128,6 +127,10 @@ void Server::stop() {
   for (auto& shard : shards_) shard->cv.notify_all();
 
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
   {
     // All reader threads must be gone before the shard workers drain, so no
     // new request can arrive behind a worker's final pass.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -84,24 +85,27 @@ TEST(FleetMeta, DefaultScenariosSplitEverySession) {
 TEST(FleetRun, BitIdenticalDigestAcrossThreadCounts) {
   // The tentpole contract: fixed shard partition + serial RNG forks +
   // fixed-size lockstep groups + shard-ordered histogram merge make every
-  // output float independent of the pool size. The pool here is
+  // output float independent of the pool size -- for every task, including
+  // the ABR and CC mixes that replay recorded traces. The pool here is
   // oversubscribed (the CI box may have a single core) which also shakes
   // out schedule dependence.
   ThreadGuard guard;
-  const rl::MlpPolicy policy = test_policy("lb");
-  const auto scenarios = fleet::default_scenarios("lb", 400, 0.0);
-  fleet::FleetOptions opts;
-  opts.seed = 5;
-  opts.shards = 16;
-  opts.out_dir = "";  // flight capture off: pure compute path
-  std::string digests[2];
-  const int threads[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    netgym::set_num_threads(threads[i]);
-    digests[i] = fleet::canonical_digest(run_fleet(policy, scenarios, opts));
+  for (const char* task : {"abr", "cc", "lb"}) {
+    const rl::MlpPolicy policy = test_policy(task);
+    const auto scenarios = fleet::default_scenarios(task, 300, 0.5);
+    fleet::FleetOptions opts;
+    opts.seed = 5;
+    opts.shards = 16;
+    opts.out_dir = "";  // flight capture off: pure compute path
+    std::string digests[2];
+    const int threads[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      netgym::set_num_threads(threads[i]);
+      digests[i] = fleet::canonical_digest(run_fleet(policy, scenarios, opts));
+    }
+    EXPECT_EQ(digests[0], digests[1]) << task;
+    EXPECT_NE(digests[0].find("fleet-digest v1"), std::string::npos) << task;
   }
-  EXPECT_EQ(digests[0], digests[1]);
-  EXPECT_NE(digests[0].find("fleet-digest v1"), std::string::npos);
 }
 
 TEST(FleetRun, ShardCountIsPartOfTheContractNotATuningKnob) {
@@ -239,28 +243,70 @@ TEST(FleetFixture, RegeneratedWorstKMatchesCommittedBytes) {
 }
 
 TEST(FleetReport, JsonAndSummaryRenderEveryScenario) {
-  const rl::MlpPolicy policy = test_policy("lb");
-  const auto scenarios = fleet::default_scenarios("lb", 200, 0.0);
-  fleet::FleetOptions opts;
-  opts.seed = 9;
-  const fleet::FleetResult result = run_fleet(policy, scenarios, opts);
+  // Every default mix, traces included, must come out self-consistent:
+  // totals equal the per-scenario sums, every metric saw every session with
+  // ordered percentiles, and every SLO verdict follows from its counts.
+  for (const char* task : {"abr", "cc", "lb"}) {
+    SCOPED_TRACE(task);
+    const rl::MlpPolicy policy = test_policy(task);
+    const auto scenarios = fleet::default_scenarios(task, 200, 0.5);
+    fleet::FleetOptions opts;
+    opts.seed = 9;
+    const fleet::FleetResult result = run_fleet(policy, scenarios, opts);
 
-  const std::string summary = fleet::format_fleet_summary(result);
-  for (const auto& sc : result.scenarios) {
-    EXPECT_NE(summary.find("[" + sc.name + "]"), std::string::npos);
-  }
-  EXPECT_NE(summary.find("SLO"), std::string::npos);
+    std::int64_t sessions = 0;
+    std::int64_t steps = 0;
+    for (const auto& sc : result.scenarios) {
+      SCOPED_TRACE(sc.name);
+      sessions += sc.sessions;
+      steps += sc.steps;
+      EXPECT_GT(sc.sessions, 0);
+      EXPECT_FALSE(sc.slos.empty());
+      ASSERT_FALSE(sc.metrics.empty());
+      std::vector<std::string> names;
+      for (const auto& m : sc.metrics) {
+        const auto& s = m.stats;
+        names.push_back(m.name);
+        EXPECT_EQ(s.count, sc.sessions) << m.name;
+        EXPECT_LE(s.min, s.p50) << m.name;
+        EXPECT_LE(s.p50, s.p90) << m.name;
+        EXPECT_LE(s.p90, s.p99) << m.name;
+        EXPECT_LE(s.p99, s.p999) << m.name;
+        EXPECT_LE(s.p999, s.max) << m.name;
+        const double mean = s.sum / static_cast<double>(s.count);
+        EXPECT_LE(s.min, mean) << m.name;
+        EXPECT_LE(mean, s.max) << m.name;
+      }
+      for (const auto& slo : sc.slos) {
+        EXPECT_NE(std::find(names.begin(), names.end(), slo.spec.metric),
+                  names.end())
+            << slo.spec.metric;
+        EXPECT_DOUBLE_EQ(slo.fraction, static_cast<double>(slo.compliant) /
+                                           static_cast<double>(sc.sessions));
+        EXPECT_EQ(slo.pass, slo.fraction >= slo.spec.target_fraction - 1e-12);
+      }
+    }
+    EXPECT_EQ(result.sessions, sessions);
+    EXPECT_EQ(result.steps, steps);
 
-  const std::string path = ::testing::TempDir() + "fleet_report_test.json";
-  fleet::BenchInfo info;
-  info.determinism_checked = true;
-  info.determinism_identical = true;
-  fleet::write_fleet_json(path, result, info);
-  const std::string json = read_file(path);
-  EXPECT_NE(json.find("\"bench\": \"fleet\""), std::string::npos);
-  EXPECT_NE(json.find("\"determinism\""), std::string::npos);
-  for (const auto& sc : result.scenarios) {
-    EXPECT_NE(json.find("\"" + sc.name + "\""), std::string::npos);
+    const std::string summary = fleet::format_fleet_summary(result);
+    for (const auto& sc : result.scenarios) {
+      EXPECT_NE(summary.find("[" + sc.name + "]"), std::string::npos);
+    }
+    EXPECT_NE(summary.find("SLO"), std::string::npos);
+
+    const std::string path =
+        ::testing::TempDir() + "fleet_report_" + task + ".json";
+    fleet::write_fleet_json(path, result);
+    const std::string json = read_file(path);
+    EXPECT_NE(json.find("\"bench\": \"fleet\""), std::string::npos);
+    EXPECT_NE(json.find("\"sessions_total\": " + std::to_string(sessions)),
+              std::string::npos);
+    EXPECT_NE(json.find("\"steps_total\": " + std::to_string(steps)),
+              std::string::npos);
+    for (const auto& sc : result.scenarios) {
+      EXPECT_NE(json.find("\"" + sc.name + "\""), std::string::npos);
+    }
   }
 }
 

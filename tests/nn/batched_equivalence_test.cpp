@@ -39,7 +39,7 @@ TEST_P(BatchedEquivalenceTest, ForwardBatchMatchesLoopedForwardBitForBit) {
   Rng rng(11);
   Mlp net(std::vector<int>{6, 32, 32, 4}, GetParam(), rng);
   Mlp loop_net = net;  // identical parameters, independent scratch
-  for (int n : {1, 2, 5, 32, 70}) {
+  for (int n : {1, 2, 5, 32, 70, 128, 512}) {
     const std::vector<double> x = batch_inputs(n, 6, 1.0);
     const std::vector<double>& batched = net.forward_batch(x.data(), n);
     ASSERT_EQ(batched.size(), static_cast<std::size_t>(n) * 4);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace {
@@ -58,9 +62,12 @@ struct Shape {
 
 // Exercises every tiling path: M=1 single row, N<4 (pure scalar tail),
 // 4<=N<16 (quad + tail), N=16 (one full vector tile), odd N (tile + quad +
-// tail), N=K=1 degenerate, and a larger-than-cache-tile case.
-const Shape kShapes[] = {{1, 1, 1},   {1, 7, 5},   {3, 2, 9},  {5, 16, 16},
-                         {4, 19, 11}, {32, 32, 32}, {8, 37, 3}, {64, 33, 17}};
+// tail), N=K=1 degenerate, a larger-than-cache-tile case, and the policy
+// hidden layer (32x32) at serving batch sizes up to 512.
+const Shape kShapes[] = {{1, 1, 1},     {1, 7, 5},    {3, 2, 9},
+                         {5, 16, 16},   {4, 19, 11},  {32, 32, 32},
+                         {8, 37, 3},    {64, 33, 17}, {128, 32, 32},
+                         {512, 32, 32}};
 
 TEST(Gemm, StrictMatchesNaiveBitForBit) {
   for (const Shape& s : kShapes) {
@@ -131,6 +138,71 @@ TEST(Gemm, SplitBatchesAreBitIdenticalToOneCall) {
   nn::gemm_nn(M - top, N, K, a.data() + static_cast<std::size_t>(top) * K,
               b.data(), c_split.data() + static_cast<std::size_t>(top) * N);
   EXPECT_EQ(c_whole, c_split);
+}
+
+TEST(Gemm, BatchedBeatsPerSampleAtBatch32) {
+  // The batched layer exists to be faster: one 32x32+bias affine layer at
+  // batch 32, computed as Mlp::forward_batch does it (bias-row seed, weight
+  // transpose, one strict GEMM), against the per-sample matvec loop it
+  // replaced. The two are timed interleaved and each keeps its fastest
+  // repetition, so a preempted repetition cannot decide the verdict. The
+  // AVX2 strict kernels must win by 2x; the portable scalar tiling must at
+  // least not lose.
+  MathModeGuard guard;
+  nn::set_math_mode(MathMode::kStrict);
+  constexpr int kBatch = 32;
+  constexpr int kIn = 32;
+  constexpr int kOut = 32;
+  constexpr int kPassesPerRep = 200;
+  constexpr int kReps = 25;
+  const std::vector<double> w = filled(kOut * kIn, 0.05);
+  const std::vector<double> bias = filled(kOut, 0.01);
+  const std::vector<double> inputs = filled(kBatch * kIn, 0.1);
+  std::vector<double> wt(w.size());
+  std::vector<double> out_loop(static_cast<std::size_t>(kBatch) * kOut);
+  std::vector<double> out_gemm(out_loop.size());
+
+  const auto per_sample = [&] {
+    for (int m = 0; m < kBatch; ++m) {
+      const double* a = inputs.data() + static_cast<std::size_t>(m) * kIn;
+      double* c = out_loop.data() + static_cast<std::size_t>(m) * kOut;
+      for (int i = 0; i < kOut; ++i) {
+        const double* row = w.data() + static_cast<std::size_t>(i) * kIn;
+        double acc = bias[static_cast<std::size_t>(i)];
+        for (int j = 0; j < kIn; ++j) acc += row[j] * a[j];
+        c[i] = acc;
+      }
+    }
+  };
+  const auto batched = [&] {
+    for (int m = 0; m < kBatch; ++m) {
+      std::copy(bias.begin(), bias.end(),
+                out_gemm.begin() + static_cast<std::ptrdiff_t>(m) * kOut);
+    }
+    nn::transpose(kOut, kIn, w.data(), wt.data());
+    nn::gemm_nn(kBatch, kOut, kIn, inputs.data(), wt.data(), out_gemm.data());
+  };
+  const auto best_of = [](double best, const auto& pass) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int p = 0; p < kPassesPerRep; ++p) pass();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    return std::min(best, took.count());
+  };
+
+  per_sample();
+  batched();
+  double loop_s = std::numeric_limits<double>::infinity();
+  double gemm_s = loop_s;
+  for (int r = 0; r < kReps; ++r) {
+    loop_s = best_of(loop_s, per_sample);
+    gemm_s = best_of(gemm_s, batched);
+  }
+  EXPECT_EQ(out_loop, out_gemm);  // same bits, so the race is a fair one
+
+  const std::string kernel = nn::active_kernel_name();
+  const double floor = kernel == "avx2-strict" ? 2.0 : 1.0;
+  EXPECT_GE(loop_s / gemm_s, floor) << kernel << " kernels";
 }
 
 TEST(Gemm, FastModeIsCloseAndRunToRunReproducible) {

@@ -4,7 +4,8 @@
 // mid-request must not take the server down (the no-SIGPIPE contract), and
 // hot swaps must change the served version without failing a single request
 // -- including the failed-swap case, where a corrupt checkpoint is skipped
-// and the old policy keeps serving.
+// and the old policy keeps serving -- and the per-phase latency attribution
+// must partition every request's end-to-end time.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +15,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "netgym/rng.hpp"
+#include "netgym/telemetry.hpp"
 #include "rl/policy.hpp"
 #include "serve/client.hpp"
 #include "serve/policy_store.hpp"
@@ -216,6 +220,72 @@ TEST(ServeServer, CloseSessionDropsStateAndAnswers) {
   client.close_session(5);
   // Closing a session that never existed is also answered, not an error.
   client.close_session(999);
+}
+
+/// Count and sum of every serve.phase.* histogram, read from the registry.
+/// The registry is process-wide, so tests compare two reads.
+std::map<std::string, std::pair<std::int64_t, double>> phase_totals() {
+  std::map<std::string, std::pair<std::int64_t, double>> totals;
+  for (const auto& entry :
+       netgym::telemetry::Registry::instance().snapshot()) {
+    if (entry.name.rfind("serve.phase.", 0) == 0 &&
+        entry.kind == netgym::telemetry::Registry::Kind::kHistogram) {
+      totals[entry.name] = {entry.hist.count, entry.hist.sum};
+    }
+  }
+  return totals;
+}
+
+TEST(ServeServer, PhasesPartitionEveryRequest) {
+  // Latency attribution (DESIGN.md S5j): every acted request records all
+  // five phase histograms once, and queue + batch + forward + write add up
+  // to the end-to-end total. Pipelined clients make the queue and batch
+  // phases non-trivial.
+  const fs::path dir = test_dir("phases");
+  serve::ServerOptions opt;
+  opt.shards = 2;
+  auto server = start_server(write_policy(dir / "p.ckpt", 4), opt);
+  auto before = phase_totals();
+
+  constexpr int kClients = 3;
+  constexpr int kPerClient = 96;
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      serve::Client client = serve::Client::connect_tcp(server->port());
+      std::string burst;
+      for (int i = 0; i < kPerClient; ++i) {
+        const std::uint64_t sid =
+            static_cast<std::uint64_t>(c) * kPerClient + i;
+        const std::vector<double> obs = make_obs(sid);
+        serve::encode_act(burst, sid, obs.data(), obs.size());
+      }
+      client.send_raw(burst);
+      for (int i = 0; i < kPerClient; ++i) {
+        EXPECT_EQ(serve::type_of(client.read_frame()), serve::MsgType::kActOk);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  server->stop();  // every phase is recorded once the shards have drained
+
+  auto after = phase_totals();
+  const auto delta = [&](const std::string& phase) {
+    const std::string name = "serve.phase." + phase + "_s";
+    return std::make_pair(after[name].first - before[name].first,
+                          after[name].second - before[name].second);
+  };
+  const auto total = delta("total");
+  EXPECT_EQ(total.first, kClients * kPerClient);
+  double parts = 0.0;
+  for (const char* phase : {"queue", "batch", "forward", "write"}) {
+    const auto d = delta(phase);
+    EXPECT_EQ(d.first, total.first) << phase;
+    parts += d.second;
+  }
+  EXPECT_GT(total.second, 0.0);
+  EXPECT_NEAR(parts, total.second, 0.02 * total.second)
+      << "phase sums no longer partition the end-to-end time";
 }
 
 TEST(ServeServer, HotSwapChangesServedVersionWithZeroFailures) {

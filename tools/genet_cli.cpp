@@ -99,7 +99,7 @@ commands:
             see DESIGN.md S5h. --trace-prob (default 0.5, also the
             GENET_FLEET_TRACE_PROB env var) sets the recorded-trace share
             of trace-backed scenarios. --out-dir enables per-scenario
-            worst-k flight dumps; --json writes BENCH_fleet-schema JSON
+            worst-k flight dumps; --json writes the fleet JSON report
             (render with scripts/slo_report.py); --digest writes the
             canonical determinism digest (byte-identical at any thread
             count); --slo-strict exits nonzero when any SLO fails.
@@ -553,8 +553,7 @@ int cmd_fleet(const Options& options) {
   std::fputs(fleet::format_fleet_summary(result).c_str(), stdout);
 
   if (options.count("json") != 0U) {
-    fleet::BenchInfo info;  // no determinism re-assertion in a single run
-    fleet::write_fleet_json(options.at("json"), result, info);
+    fleet::write_fleet_json(options.at("json"), result);
     std::printf("wrote %s\n", options.at("json").c_str());
   }
   if (options.count("digest") != 0U) {
