@@ -12,6 +12,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -19,8 +21,12 @@
 #include "genet/adapter.hpp"
 #include "genet/curriculum.hpp"
 #include "netgym/checkpoint.hpp"
+#include "netgym/config.hpp"
+#include "netgym/health.hpp"
+#include "netgym/parallel.hpp"
 #include "netgym/rng.hpp"
 #include "nn/mlp.hpp"
+#include "rl/trainer.hpp"
 
 namespace {
 
@@ -98,6 +104,51 @@ TEST(GoldenCheckpoint, ReferenceCurriculumCheckpointResumesAndFinishes) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].round, 1);
   EXPECT_EQ(trainer.rounds_completed(), 2);
+}
+
+/// The generator's PPO run (write_ppo_golden): a CcAdapter(1) trainer,
+/// seed 31, three iterations, saved whole and encoded as file bytes.
+std::string train_ppo_golden_bytes() {
+  genet::CcAdapter adapter(1);
+  const netgym::ConfigDistribution dist(adapter.space());
+  const rl::EnvFactory factory = adapter.factory_for(dist);
+  const auto trainer = adapter.make_trainer(/*seed=*/31);
+  for (int i = 0; i < 3; ++i) trainer->train_iteration(factory);
+  ckpt::Snapshot snap;
+  trainer->save_state(snap, "trainer/");
+  return ckpt::encode_file_bytes(snap);
+}
+
+/// Restores the default pool width and a disabled, wiped health watchdog on
+/// scope exit, so a failing assertion cannot leak either into later tests.
+struct PpoGoldenGuard {
+  ~PpoGoldenGuard() {
+    netgym::set_num_threads(0);
+    netgym::health::Watchdog::instance().disable();
+    netgym::health::Watchdog::instance().reset();
+  }
+};
+
+TEST(GoldenCheckpoint, PpoTrainerRetrainsToReferenceBytes) {
+  // CC trains with PPO, and this is the only tier-1 pin on its update's
+  // bits: re-training must reproduce the committed snapshot byte for byte
+  // at any pool width, and with the health watchdog on (its update-KL stat
+  // reads the pre-update log-probs the update captures).
+  std::ifstream in(data_path("golden_ppo_cc_v1.ckpt"), std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string expected((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  PpoGoldenGuard guard;
+  for (int threads : {1, 4}) {
+    netgym::set_num_threads(threads);
+    const std::string got = train_ppo_golden_bytes();
+    EXPECT_TRUE(got == expected)
+        << threads << " threads: " << got.size() << " bytes vs "
+        << expected.size();
+  }
+  netgym::health::Watchdog::instance().reset();
+  netgym::health::Watchdog::instance().enable({});
+  EXPECT_TRUE(train_ppo_golden_bytes() == expected) << "health watchdog on";
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //
 // Usage: make_golden_checkpoints <output-dir>
 //
-// The constants here (kGoldenMlpParams, seeds, curriculum options) are
+// The constants here (kGoldenMlpParams, seeds, curriculum and PPO options) are
 // duplicated in tests/netgym/golden_checkpoint_test.cpp; keep them in sync.
 
 #include <cstdio>
@@ -23,8 +23,10 @@
 #include "netgym/checkpoint.hpp"
 #include "netgym/rng.hpp"
 #include "netgym/tracing.hpp"
+#include "netgym/config.hpp"
 #include "nn/mlp.hpp"
 #include "rl/policy.hpp"
+#include "rl/trainer.hpp"
 #include "serve/policy_store.hpp"
 
 namespace {
@@ -92,6 +94,22 @@ void write_curriculum_golden(const std::string& dir) {
       adapter, std::make_unique<genet::GenetScheme>("llf", search), options);
   trainer.run_round();
   trainer.save_checkpoint(dir + "/golden_curriculum_v1.ckpt");
+}
+
+void write_ppo_golden(const std::string& dir) {
+  // PPO's training bits: a CC trainer (Aurora's PPO) run for three
+  // iterations from a fixed seed, saved whole. Unlike the format goldens
+  // above, the test re-trains and byte-compares against this file, so it
+  // pins the PPO update's numerics (strict math mode) at any thread count.
+  // Regenerate only on a deliberate change to those numerics.
+  genet::CcAdapter adapter(1);
+  const netgym::ConfigDistribution dist(adapter.space());
+  const rl::EnvFactory factory = adapter.factory_for(dist);
+  const auto trainer = adapter.make_trainer(/*seed=*/31);
+  for (int i = 0; i < 3; ++i) trainer->train_iteration(factory);
+  ckpt::Snapshot snap;
+  trainer->save_state(snap, "trainer/");
+  ckpt::write_file(snap, dir + "/golden_ppo_cc_v1.ckpt");
 }
 
 void write_policy_goldens(const std::string& dir) {
@@ -205,6 +223,7 @@ int main(int argc, char** argv) {
   write_mlp_golden(dir);
   write_rng_golden(dir);
   write_curriculum_golden(dir);
+  write_ppo_golden(dir);
   write_policy_goldens(dir);
   write_dist_frames_golden(dir);
   std::printf("wrote golden checkpoints to %s\n", dir.c_str());
