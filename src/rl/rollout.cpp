@@ -50,7 +50,7 @@ std::vector<double> discounted_returns(const RolloutBatch& batch,
 std::vector<double> gae_advantages(const RolloutBatch& batch,
                                    const std::vector<double>& values,
                                    double gamma, double lambda,
-                                   double last_value) {
+                                   double last_value, double reward_scale) {
   if (values.size() != batch.size()) {
     throw std::invalid_argument("gae_advantages: values size mismatch");
   }
@@ -67,7 +67,8 @@ std::vector<double> gae_advantages(const RolloutBatch& batch,
     } else {
       next_value = last_value;
     }
-    const double delta = t.reward + gamma * next_value - values[i];
+    const double delta =
+        t.reward / reward_scale + gamma * next_value - values[i];
     acc = delta + gamma * lambda * acc;
     adv[i] = acc;
   }

@@ -39,11 +39,14 @@ std::vector<double> discounted_returns(const RolloutBatch& batch,
 
 /// Generalized Advantage Estimation over the batch. `values` must align with
 /// the transitions; the value after a terminal step is treated as zero, and a
-/// trailing unfinished episode bootstraps from `last_value`.
+/// trailing unfinished episode bootstraps from `last_value`. Each reward is
+/// divided by `reward_scale` first (the trainers' running return scale), so
+/// callers need not copy the batch to rescale it.
 std::vector<double> gae_advantages(const RolloutBatch& batch,
                                    const std::vector<double>& values,
                                    double gamma, double lambda,
-                                   double last_value = 0.0);
+                                   double last_value = 0.0,
+                                   double reward_scale = 1.0);
 
 /// In-place standardization to zero mean / unit variance (no-op for constant
 /// or single-element input).
