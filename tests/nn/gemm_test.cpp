@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -69,6 +70,20 @@ const Shape kShapes[] = {{1, 1, 1},     {1, 7, 5},    {3, 2, 9},
                          {8, 37, 3},    {64, 33, 17}, {128, 32, 32},
                          {512, 32, 32}};
 
+// gemm_tn runs 4-row x 8-column register blocks, so its shapes add every
+// M % 4 remainder (0-3; a single row takes the row kernel) against every
+// N % 8 remainder (0-7, the masked column tail), plus the CC policy's
+// weight-gradient shapes at a 1780-sample batch: first layer, action head
+// and critic head.
+std::vector<Shape> tn_shapes() {
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  for (int m = 1; m <= 8; ++m) {
+    for (int n = 1; n <= 16; ++n) shapes.push_back({m, n, 5});
+  }
+  shapes.insert(shapes.end(), {{32, 53, 1780}, {9, 32, 1780}, {1, 32, 1780}});
+  return shapes;
+}
+
 TEST(Gemm, StrictMatchesNaiveBitForBit) {
   for (const Shape& s : kShapes) {
     const std::vector<double> a = filled(s.M * s.K, 0.3);
@@ -82,7 +97,7 @@ TEST(Gemm, StrictMatchesNaiveBitForBit) {
 }
 
 TEST(Gemm, StrictTransposedMatchesNaiveBitForBit) {
-  for (const Shape& s : kShapes) {
+  for (const Shape& s : tn_shapes()) {
     const std::vector<double> a = filled(s.K * s.M, 0.4);
     const std::vector<double> b = filled(s.K * s.N, 0.9);
     std::vector<double> c_naive = filled(s.M * s.N, 0.2);
@@ -106,6 +121,17 @@ TEST(Gemm, ScalarKernelsMatchDispatchedStrict) {
                                c_scalar.data());
     nn::gemm_nn(s.M, s.N, s.K, a.data(), b.data(), c_dispatch.data());
     EXPECT_EQ(c_scalar, c_dispatch);
+  }
+  for (const Shape& s : tn_shapes()) {
+    const std::vector<double> a = filled(s.K * s.M, 0.5);
+    const std::vector<double> b = filled(s.K * s.N, 0.6);
+    std::vector<double> c_scalar = filled(s.M * s.N, 0.8);
+    std::vector<double> c_dispatch = c_scalar;
+    nn::detail::gemm_tn_scalar(s.M, s.N, s.K, a.data(), b.data(),
+                               c_scalar.data());
+    nn::gemm_tn(s.M, s.N, s.K, a.data(), b.data(), c_dispatch.data());
+    EXPECT_EQ(c_scalar, c_dispatch)
+        << "gemm_tn " << s.M << "x" << s.N << "x" << s.K;
   }
 }
 
@@ -223,6 +249,23 @@ TEST(Gemm, FastModeIsCloseAndRunToRunReproducible) {
   EXPECT_EQ(c_fast1, c_fast2);  // reproducible for a fixed shape
   for (std::size_t i = 0; i < c_strict.size(); ++i) {
     EXPECT_NEAR(c_fast1[i], c_strict[i], 1e-9 * (1.0 + std::abs(c_strict[i])));
+  }
+
+  // The FMA gemm_tn blocks, masked tails included, stay close to strict.
+  for (const Shape& s : tn_shapes()) {
+    const std::vector<double> ta = filled(s.K * s.M, 0.4);
+    const std::vector<double> tb = filled(s.K * s.N, 0.9);
+    std::vector<double> tn_strict = filled(s.M * s.N, 0.2);
+    std::vector<double> tn_fast = tn_strict;
+    nn::set_math_mode(MathMode::kStrict);
+    nn::gemm_tn(s.M, s.N, s.K, ta.data(), tb.data(), tn_strict.data());
+    nn::set_math_mode(MathMode::kFast);
+    nn::gemm_tn(s.M, s.N, s.K, ta.data(), tb.data(), tn_fast.data());
+    for (std::size_t i = 0; i < tn_strict.size(); ++i) {
+      ASSERT_NEAR(tn_fast[i], tn_strict[i],
+                  1e-9 * (1.0 + std::abs(tn_strict[i])))
+          << "gemm_tn " << s.M << "x" << s.N << "x" << s.K << " at " << i;
+    }
   }
 }
 
