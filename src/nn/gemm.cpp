@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -81,65 +82,96 @@ const char* active_kernel_name() {
 
 namespace detail {
 
-// Tile width of the n (output-column) dimension: 8 doubles is one cache line
-// and maps onto 4 SSE2 / 2 AVX registers, so the accumulator block below
-// stays enregistered at any vector width the compiler targets.
+// Tile width of the n (output-column) dimension: 8 doubles is one cache
+// line, four two-lane vectors per row of the register block below.
 constexpr int kNTile = 8;
 
-void gemm_nn_scalar(int M, int N, int K, const double* A, const double* B,
-                    double* C) {
-  for (int m = 0; m < M; ++m) {
-    const double* a = A + static_cast<std::size_t>(m) * K;
-    double* c = C + static_cast<std::size_t>(m) * N;
-    int n0 = 0;
-    for (; n0 + kNTile <= N; n0 += kNTile) {
-      // k-outer with a register-resident C tile: each acc[t] still receives
-      // its addends in ascending-k order, so this is bit-identical to the
-      // naive per-element dot product while giving the compiler kNTile
-      // independent accumulation chains to vectorize across.
-      double acc[kNTile];
-      for (int t = 0; t < kNTile; ++t) acc[t] = c[n0 + t];
-      for (int k = 0; k < K; ++k) {
-        const double f = a[k];
-        const double* b = B + static_cast<std::size_t>(k) * N + n0;
-        for (int t = 0; t < kNTile; ++t) acc[t] += f * b[t];
+namespace {
+
+/// Two doubles as one GCC/Clang vector-extension value. Its `*` and `+` are
+/// elementwise IEEE operations (never contracted: -ffp-contract=off), so
+/// each lane is an independent strict accumulation chain; targets without
+/// SIMD lower it to scalar code. Spelling the tile as vectors keeps the
+/// compiler from vectorizing across k instead, which spills the tile.
+typedef double Lanes2 __attribute__((vector_size(16)));
+constexpr int kTileVecs = kNTile / 2;
+
+inline Lanes2 load2(const double* p) {
+  Lanes2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// R rows of C += A·B from row m0, where row m's k-th factor is
+/// A[m * a_row_stride + k * a_k_stride] (gemm_nn: K, 1; gemm_tn: 1, M).
+/// Each 8-column tile holds R x 8 accumulators, so a B row segment is
+/// loaded once per k for all R rows. Every element still receives its
+/// addends in ascending-k order, one multiply and one add each, so this is
+/// bit-identical to the naive per-element dot product.
+template <int R>
+void scalar_rows(int m0, int N, int K, const double* A, long a_row_stride,
+                 long a_k_stride, const double* B, double* C) {
+  const double* a = A + m0 * a_row_stride;
+  double* c = C + static_cast<std::size_t>(m0) * N;
+  int n0 = 0;
+  for (; n0 + kNTile <= N; n0 += kNTile) {
+    Lanes2 acc[R][kTileVecs];
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < kTileVecs; ++v) {
+        acc[r][v] = load2(c + static_cast<std::size_t>(r) * N + n0 + 2 * v);
       }
-      for (int t = 0; t < kNTile; ++t) c[n0 + t] = acc[t];
     }
-    for (; n0 < N; ++n0) {
-      double acc = c[n0];
-      for (int k = 0; k < K; ++k) {
-        acc += a[k] * B[static_cast<std::size_t>(k) * N + n0];
+    const double* ak = a;
+    for (int k = 0; k < K; ++k, ak += a_k_stride) {
+      const double* b = B + static_cast<std::size_t>(k) * N + n0;
+      Lanes2 bv[kTileVecs];
+      for (int v = 0; v < kTileVecs; ++v) bv[v] = load2(b + 2 * v);
+      for (int r = 0; r < R; ++r) {
+        const double f = ak[r * a_row_stride];
+        const Lanes2 fv = {f, f};
+        for (int v = 0; v < kTileVecs; ++v) acc[r][v] += fv * bv[v];
       }
-      c[n0] = acc;
+    }
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < kTileVecs; ++v) {
+        std::memcpy(c + static_cast<std::size_t>(r) * N + n0 + 2 * v,
+                    &acc[r][v], sizeof(Lanes2));
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    double* cr = c + static_cast<std::size_t>(r) * N;
+    for (int n = n0; n < N; ++n) {
+      double acc = cr[n];
+      for (int k = 0; k < K; ++k) {
+        acc += a[r * a_row_stride + k * a_k_stride] *
+               B[static_cast<std::size_t>(k) * N + n];
+      }
+      cr[n] = acc;
     }
   }
 }
 
+/// Rows in pairs, then a last single row.
+void scalar_gemm(int M, int N, int K, const double* A, long a_row_stride,
+                 long a_k_stride, const double* B, double* C) {
+  int m = 0;
+  for (; m + 2 <= M; m += 2) {
+    scalar_rows<2>(m, N, K, A, a_row_stride, a_k_stride, B, C);
+  }
+  if (m < M) scalar_rows<1>(m, N, K, A, a_row_stride, a_k_stride, B, C);
+}
+
+}  // namespace
+
+void gemm_nn_scalar(int M, int N, int K, const double* A, const double* B,
+                    double* C) {
+  scalar_gemm(M, N, K, A, /*a_row_stride=*/K, /*a_k_stride=*/1, B, C);
+}
+
 void gemm_tn_scalar(int M, int N, int K, const double* A, const double* B,
                     double* C) {
-  for (int m = 0; m < M; ++m) {
-    double* c = C + static_cast<std::size_t>(m) * N;
-    int n0 = 0;
-    for (; n0 + kNTile <= N; n0 += kNTile) {
-      double acc[kNTile];
-      for (int t = 0; t < kNTile; ++t) acc[t] = c[n0 + t];
-      for (int k = 0; k < K; ++k) {
-        const double f = A[static_cast<std::size_t>(k) * M + m];
-        const double* b = B + static_cast<std::size_t>(k) * N + n0;
-        for (int t = 0; t < kNTile; ++t) acc[t] += f * b[t];
-      }
-      for (int t = 0; t < kNTile; ++t) c[n0 + t] = acc[t];
-    }
-    for (; n0 < N; ++n0) {
-      double acc = c[n0];
-      for (int k = 0; k < K; ++k) {
-        acc += A[static_cast<std::size_t>(k) * M + m] *
-               B[static_cast<std::size_t>(k) * N + n0];
-      }
-      c[n0] = acc;
-    }
-  }
+  scalar_gemm(M, N, K, A, /*a_row_stride=*/1, /*a_k_stride=*/M, B, C);
 }
 
 }  // namespace detail
