@@ -74,6 +74,21 @@ struct IterationStats {
 /// is 0, and the 1e-12 guard keeps the log call off p = 0.
 double entropy_of(const std::vector<double>& probs);
 
+/// The per-row policy-loss terms both trainers need from one row of logits.
+struct PolicyRow {
+  double logp;     ///< log softmax(logits)[action]
+  double entropy;  ///< entropy of the softmax, nats
+};
+
+/// One pass over a `width`-wide row of logits: softmax probabilities into
+/// `p`, each probability's log clamped at 1e-12 (the entropy gradient's
+/// term) into `log_p`, and the taken action's log-prob and the entropy
+/// returned. Every output is bit-identical to nn::softmax_row,
+/// nn::log_softmax_row_at and entropy_of called separately (same
+/// expressions, same order), but the row's exps and logs run once each.
+PolicyRow policy_row(const double* logits, int width, int action, double* p,
+                     double* log_p);
+
 /// Roll the (stochastic) policy through `episodes` fresh environments drawn
 /// from `factory`, returning all transitions in time order.
 RolloutBatch collect_batch(MlpPolicy& policy, const EnvFactory& factory,

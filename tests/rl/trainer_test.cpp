@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "netgym/health.hpp"
+#include "nn/mlp.hpp"
 
 namespace {
 
@@ -169,6 +174,38 @@ TEST(EntropyOf, ZeroProbabilityEntriesContributeZeroNotNaN) {
   EXPECT_DOUBLE_EQ(rl::entropy_of({}), 0.0);
   // Uniform distribution is the maximum: log n.
   EXPECT_NEAR(rl::entropy_of({0.25, 0.25, 0.25, 0.25}), std::log(4.0), 1e-12);
+}
+
+TEST(PolicyRow, MatchesSeparateSoftmaxLogProbAndEntropyBitForBit) {
+  // The trainers' fused row must give exactly the bits of the three
+  // separate functions it replaced, including rows whose small
+  // probabilities fall under the 1e-12 guard or underflow to 0.
+  const std::vector<std::vector<double>> rows = {
+      {0.3, -1.2, 2.5},
+      {1e-3, 7.0, -4.0, 0.0, 2.25, -0.5, 3.0, 1.0, -2.0},
+      {50.0, -10.0, 0.0},      // p ~ 1e-26 and 2e-22: under the guard
+      {800.0, 0.0, -800.0},    // p underflows to exactly 0
+      {-3.0, -3.0, -3.0, -3.0}};
+  for (const std::vector<double>& logits : rows) {
+    const int width = static_cast<int>(logits.size());
+    for (int action = 0; action < width; ++action) {
+      std::vector<double> p(logits.size());
+      std::vector<double> log_p(logits.size());
+      const rl::PolicyRow row =
+          rl::policy_row(logits.data(), width, action, p.data(), log_p.data());
+      std::vector<double> probs(logits.size());
+      nn::softmax_row(logits.data(), width, probs.data());
+      EXPECT_EQ(p, probs);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row.logp),
+                std::bit_cast<std::uint64_t>(
+                    nn::log_softmax_row_at(logits.data(), width, action)));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row.entropy),
+                std::bit_cast<std::uint64_t>(rl::entropy_of(probs)));
+      for (int j = 0; j < width; ++j) {
+        EXPECT_EQ(log_p[j], std::log(std::max(probs[j], 1e-12))) << j;
+      }
+    }
+  }
 }
 
 TEST(EntropySchedule, LinearDecayHitsBothEndpointsAndClampsAtFinal) {
