@@ -9,18 +9,17 @@
 
 #include "netgym/checkpoint.hpp"
 #include "nn/gemm.hpp"
-#include "netgym/flight.hpp"
-#include "netgym/health.hpp"
+#include "netgym/obs.hpp"
 #include "netgym/parallel.hpp"
 #include "netgym/parse.hpp"
 #include "netgym/telemetry.hpp"
-#include "netgym/tracing.hpp"
 
 namespace bench {
 
 namespace {
 
 std::string g_checkpoint_dir;
+netgym::obs::Flags g_obs_flags;  ///< observability flags, read by print_header
 
 /// Snapshot path for one zoo training run; "" when checkpointing is off.
 /// Creating the directory lazily keeps --checkpoint-dir side-effect free for
@@ -33,9 +32,9 @@ std::string checkpoint_path_for(const std::string& key) {
 
 [[noreturn]] void common_flags_usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--threads N] [--log-file F] [--trace-out F] "
-               "[--flight-out F] [--checkpoint-dir D]\n",
-               argv0);
+               "usage: %s [--threads N] [--checkpoint-dir D] "
+               "[observability flags]\n%s",
+               argv0, netgym::obs::kUsage);
   std::exit(2);
 }
 
@@ -172,19 +171,23 @@ void parallel_sweep(int n, std::uint64_t seed,
 void parse_common_flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
-    const bool known = std::strcmp(flag, "--threads") == 0 ||
-                       std::strcmp(flag, "--log-file") == 0 ||
-                       std::strcmp(flag, "--trace-out") == 0 ||
-                       std::strcmp(flag, "--flight-out") == 0 ||
-                       std::strcmp(flag, "--checkpoint-dir") == 0;
-    if (!known) continue;
+    if (std::strncmp(flag, "--", 2) != 0) continue;
+    const std::string name = flag + 2;
+    const bool obs = netgym::obs::is_flag(name);
+    if (!obs && name != "threads" && name != "checkpoint-dir") continue;
+    if (netgym::obs::is_switch(name)) {
+      g_obs_flags.try_emplace(name);
+      continue;
+    }
     // A known flag with no value is an error, not a request for defaults.
     if (i + 1 >= argc) {
       std::fprintf(stderr, "error: %s expects a value\n", flag);
       common_flags_usage(argv[0]);
     }
     const char* value = argv[++i];
-    if (std::strcmp(flag, "--threads") == 0) {
+    if (obs) {
+      g_obs_flags[name] = value;
+    } else if (name == "threads") {
       // Strict parse: garbage, values below 1 and values beyond int exit
       // nonzero with a usage message instead of picking a thread count.
       std::int64_t threads = 0;
@@ -198,12 +201,6 @@ void parse_common_flags(int argc, char** argv) {
         common_flags_usage(argv[0]);
       }
       netgym::set_num_threads(static_cast<int>(threads));
-    } else if (std::strcmp(flag, "--log-file") == 0) {
-      netgym::telemetry::open_global_logger(value);
-    } else if (std::strcmp(flag, "--trace-out") == 0) {
-      netgym::tracing::install(value);
-    } else if (std::strcmp(flag, "--flight-out") == 0) {
-      netgym::flight::install(value);
     } else {
       set_checkpoint_dir(value);
     }
@@ -211,10 +208,14 @@ void parse_common_flags(int argc, char** argv) {
 }
 
 void print_header(const std::string& experiment, const std::string& claim) {
-  netgym::telemetry::open_global_logger_from_env();
-  netgym::tracing::install_from_env();
-  netgym::flight::install_from_env();
-  netgym::health::install_from_env();  // GENET_HEALTH[_FAIL_FAST]
+  try {
+    // Static: lives until exit, when its destructor writes the trace, the
+    // flight recording and --metrics-out.
+    static netgym::obs::Session session(netgym::obs::parse(g_obs_flags));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
   if (g_checkpoint_dir.empty()) {
     const char* env = std::getenv("GENET_CHECKPOINT_DIR");
     if (env != nullptr && env[0] != '\0') set_checkpoint_dir(env);

@@ -67,17 +67,17 @@ void parallel_sweep(int n, std::uint64_t seed,
 
 /// Common command-line controls for the experiment harnesses:
 ///   --threads N         resize the global rollout/evaluation pool
-///   --log-file F        write the run's JSONL telemetry trajectory to F
-///   --trace-out F       write a Chrome trace-event JSON span timeline to F
-///   --flight-out F      dump the worst-k episode flight recordings to F
 ///   --checkpoint-dir D  crash-safe training snapshots: every zoo training
 ///                       run saves D/<key>.ckpt per curriculum round (every
 ///                       10 iterations for traditional runs) and resumes
 ///                       from it when present, so a killed harness re-run
 ///                       picks up mid-training with bit-identical results
-/// Unrecognized arguments are ignored so harnesses stay free to add their
-/// own; a known flag with a missing or bad value exits 2 with a usage line.
-/// Call from main() before any work starts.
+/// plus every observability flag of netgym::obs (--log-file, --trace-out,
+/// --flight-out, --flight-k, --health-out, --health-fail-fast,
+/// --metrics-port, --metrics-port-file, --metrics-out), which print_header
+/// applies. Unrecognized arguments are ignored so harnesses stay free to add
+/// their own; a known flag with a missing or bad value exits 2 with a usage
+/// line. Call from main() before print_header.
 void parse_common_flags(int argc, char** argv);
 
 /// Snapshot directory used by `traditional_params`/`curriculum_params`
@@ -87,11 +87,11 @@ void set_checkpoint_dir(const std::string& dir);
 const std::string& checkpoint_dir();
 
 /// Pretty-printing helpers: every harness leads with the experiment id and
-/// what the paper's version of the plot shows. `print_header` also installs
-/// a JSONL telemetry sink from the GENET_LOG environment variable (unless a
-/// sink is already installed, e.g. via --log-file), honours GENET_TRACE /
-/// GENET_FLIGHT / GENET_HEALTH (training-health watchdog + its JSONL sink;
-/// GENET_HEALTH_FAIL_FAST=1 aborts on non-finite values) the same way, and
+/// what the paper's version of the plot shows. `print_header` also opens the
+/// process's one netgym::obs::Session from the flags parse_common_flags saw
+/// and the GENET_* observability variables (each knob: flag, then env var,
+/// then default), which lives until exit and then writes the trace, the
+/// flight recording and --metrics-out; a bad knob exits 2 naming it. It then
 /// emits a "run_start" event, so *every* bench can write a machine-readable
 /// trajectory.
 void print_header(const std::string& experiment, const std::string& claim);

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <tuple>
 
-#include "netgym/parse.hpp"
 #include "netgym/telemetry.hpp"
 
 namespace netgym::flight {
@@ -92,8 +90,8 @@ EpisodeRecord EpisodeCapture::finish() {
 }
 
 Recorder& Recorder::instance() {
-  // Immortal for the same reason as the trace registry: the atexit dump hook
-  // and late env teardown must never observe a destroyed recorder.
+  // Immortal for the same reason as the trace registry: a dump during static
+  // destruction and late env teardown must never observe a dead recorder.
   static Recorder* recorder = new Recorder;
   return *recorder;
 }
@@ -156,40 +154,6 @@ std::unique_ptr<EpisodeCapture> begin_episode(
 void submit(std::unique_ptr<EpisodeCapture> capture) {
   if (capture == nullptr) return;
   Recorder::instance().submit(capture->finish());
-}
-
-namespace {
-std::string* g_atexit_path = nullptr;
-}  // namespace
-
-void install(const std::string& path, int worst_k) {
-  Recorder::instance();  // constructed before the atexit hook registers
-  if (g_atexit_path == nullptr) {
-    g_atexit_path = new std::string(path);
-    std::atexit([] {
-      try {
-        Recorder::instance().write_jsonl(*g_atexit_path);
-      } catch (const std::exception&) {
-        // Nothing useful to do with an I/O failure during process exit.
-      }
-    });
-  } else {
-    *g_atexit_path = path;
-  }
-  Recorder::instance().enable(worst_k);
-}
-
-bool install_from_env() {
-  Recorder& recorder = Recorder::instance();
-  if (recorder.enabled()) return true;
-  const char* path = std::getenv("GENET_FLIGHT");
-  if (path == nullptr || path[0] == '\0') return false;
-  // Strict parse: GENET_FLIGHT_K must be a positive integer or unset.
-  // Garbage, zero, or negative values used to slide through atoi and hand
-  // install() an invalid worst_k; now they throw std::invalid_argument.
-  const int worst_k = static_cast<int>(env_i64("GENET_FLIGHT_K", 8, 1, 1u << 20));
-  install(path, worst_k);
-  return true;
 }
 
 }  // namespace netgym::flight

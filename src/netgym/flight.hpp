@@ -101,12 +101,4 @@ std::unique_ptr<EpisodeCapture> begin_episode(
 /// step; the pointer is consumed either way.
 void submit(std::unique_ptr<EpisodeCapture> capture);
 
-/// enable(worst_k) now and register an atexit hook dumping JSONL to `path`.
-void install(const std::string& path, int worst_k = 8);
-
-/// `install(getenv("GENET_FLIGHT"), getenv("GENET_FLIGHT_K") or 8)` when the
-/// path variable is set and the recorder is not already enabled. Returns true
-/// if the recorder is enabled after the call.
-bool install_from_env();
-
 }  // namespace netgym::flight

@@ -196,25 +196,4 @@ void Watchdog::observe(const IterationHealth& input) {
 
 bool enabled() { return Watchdog::instance().enabled(); }
 
-bool install_from_env() {
-  if (Watchdog::instance().enabled()) return true;
-  const char* path = std::getenv("GENET_HEALTH");
-  if (path == nullptr || path[0] == '\0') return false;
-  Options options;
-  const char* fail_fast = std::getenv("GENET_HEALTH_FAIL_FAST");
-  options.fail_fast = fail_fast != nullptr && fail_fast[0] != '\0' &&
-                      fail_fast[0] != '0';
-  Watchdog::instance().enable(options);
-  open_logger_from_env();
-  return true;
-}
-
-bool open_logger_from_env() {
-  if (netgym::telemetry::logging_enabled()) return true;
-  const char* path = std::getenv("GENET_HEALTH");
-  if (path == nullptr || path[0] == '\0') return false;
-  netgym::telemetry::open_global_logger(path);
-  return true;
-}
-
 }  // namespace netgym::health

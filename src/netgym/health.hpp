@@ -126,15 +126,4 @@ class Watchdog {
 /// extra health statistics entirely when nobody is watching).
 bool enabled();
 
-/// Enable the watchdog from the environment if GENET_HEALTH is set and the
-/// watchdog is not enabled yet (GENET_HEALTH also names the JSONL sink --
-/// see open_logger_from_env below). GENET_HEALTH_FAIL_FAST=1 turns on
-/// fail-fast. Returns true when the watchdog is enabled after the call.
-bool install_from_env();
-
-/// If GENET_HEALTH names a path and no global telemetry logger is installed
-/// yet, open one there so health/alert/provenance records have somewhere to
-/// land. Returns true if a logger is installed after the call.
-bool open_logger_from_env();
-
 }  // namespace netgym::health

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -396,6 +395,28 @@ std::string format_metrics_table() {
   return out;
 }
 
+std::vector<Field> snapshot_fields(
+    const std::vector<Registry::Entry>& entries) {
+  std::vector<Field> fields;
+  fields.reserve(entries.size());
+  for (const auto& e : entries) {
+    if (e.kind != Registry::Kind::kHistogram) {
+      fields.emplace_back(e.name, e.value);
+      continue;
+    }
+    const Histogram::Snapshot& h = e.hist;
+    fields.emplace_back(e.name + ".count", h.count);
+    fields.emplace_back(
+        e.name + ".mean",
+        h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0);
+    fields.emplace_back(e.name + ".p50", h.p50);
+    fields.emplace_back(e.name + ".p90", h.p90);
+    fields.emplace_back(e.name + ".p99", h.p99);
+    fields.emplace_back(e.name + ".max", h.max);
+  }
+  return fields;
+}
+
 RunLogger::RunLogger(std::string path) : path_(std::move(path)) {
   out_ = std::fopen(path_.c_str(), "w");
   if (out_ == nullptr) {
@@ -445,17 +466,6 @@ void set_global_logger(std::shared_ptr<RunLogger> logger) {
 
 void open_global_logger(const std::string& path) {
   set_global_logger(std::make_shared<RunLogger>(path));
-}
-
-bool open_global_logger_from_env() {
-  {
-    std::lock_guard<std::mutex> lock(g_logger_mu);
-    if (g_logger != nullptr) return true;
-  }
-  const char* path = std::getenv("GENET_LOG");
-  if (path == nullptr || path[0] == '\0') return false;
-  open_global_logger(path);
-  return true;
 }
 
 std::shared_ptr<RunLogger> global_logger() {

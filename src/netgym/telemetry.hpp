@@ -240,8 +240,12 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
+// A Registry snapshot has three formatters: the table below (`--metrics-out`),
+// Prometheus text (netgym/exposition.hpp) and JSONL fields
+// (snapshot_fields, after Field).
+
 /// Fixed-width human-readable table of every registered metric (one row per
-/// Registry entry; histogram rows carry p50/p90/p99/max). Backs the CLI
+/// Registry entry; histogram rows carry p50/p90/p99/max). Backs the
 /// `--metrics-out` dump; ends with a trailing newline.
 std::string format_metrics_table();
 
@@ -250,6 +254,12 @@ std::string format_metrics_table();
 using FieldValue =
     std::variant<std::int64_t, double, std::string, std::vector<double>>;
 using Field = std::pair<std::string, FieldValue>;
+
+/// A snapshot as JSONL event fields: `name: value` per counter, gauge and
+/// timer (a timer's value is its total seconds), and `name.count`,
+/// `name.mean`, `name.p50`, `name.p90`, `name.p99`, `name.max` per
+/// histogram. Backs the CLI `run_end` and the daemon `serve_metrics` records.
+std::vector<Field> snapshot_fields(const std::vector<Registry::Entry>& entries);
 
 /// Structured JSONL event sink. Every event becomes one line
 ///   {"type":"...","step":N,"seq":K,"ts_ms":...,<fields...>}
@@ -296,11 +306,6 @@ void set_global_logger(std::shared_ptr<RunLogger> logger);
 
 /// Open `path` and install it as the global sink; throws on I/O failure.
 void open_global_logger(const std::string& path);
-
-/// Install a sink from the GENET_LOG environment variable if it is set and
-/// no sink is installed yet. Returns true if a logger is installed after the
-/// call.
-bool open_global_logger_from_env();
 
 /// Currently installed sink (may be null).
 std::shared_ptr<RunLogger> global_logger();

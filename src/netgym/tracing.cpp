@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <mutex>
@@ -94,8 +93,9 @@ struct TraceRegistry {
 };
 
 TraceRegistry& registry() {
-  // Immortal: never destroyed, so the atexit flush installed by install()
-  // and spans emitted by late-exiting threads can never touch a dead object.
+  // Immortal: never destroyed, so a flush during static destruction (an
+  // obs::Session with static storage) and spans emitted by late-exiting
+  // threads can never touch a dead object.
   static TraceRegistry* r = new TraceRegistry;
   return *r;
 }
@@ -332,35 +332,6 @@ std::uint64_t write_chrome_trace(const std::string& path) {
   std::fputs("]}\n", out);
   std::fclose(out);
   return span_events;
-}
-
-namespace {
-std::string* g_atexit_path = nullptr;
-}  // namespace
-
-void install(const std::string& path, std::size_t buffer_capacity) {
-  registry();  // constructed before the atexit hook registers -> outlives it
-  if (g_atexit_path == nullptr) {
-    g_atexit_path = new std::string(path);
-    std::atexit([] {
-      try {
-        write_chrome_trace(*g_atexit_path);
-      } catch (const std::exception&) {
-        // Nothing useful to do with an I/O failure during process exit.
-      }
-    });
-  } else {
-    *g_atexit_path = path;
-  }
-  start(buffer_capacity);
-}
-
-bool install_from_env() {
-  if (enabled()) return true;
-  const char* path = std::getenv("GENET_TRACE");
-  if (path == nullptr || path[0] == '\0') return false;
-  install(path);
-  return true;
 }
 
 }  // namespace netgym::tracing

@@ -127,15 +127,6 @@ void add_remote_spans(std::int64_t pid, const std::string& label,
 /// Remote spans currently registered for the merged flush.
 std::uint64_t remote_span_count();
 
-/// start() now and register an atexit hook writing to `path`, so mains need
-/// no explicit teardown path (benches, the CLI).
-void install(const std::string& path,
-             std::size_t buffer_capacity = kDefaultBufferCapacity);
-
-/// `install(getenv("GENET_TRACE"))` when the variable is set and tracing is
-/// not already enabled. Returns true if tracing is enabled after the call.
-bool install_from_env();
-
 /// Record a span with explicit timestamps (from `now_ns()`). For code that
 /// interleaves logical regions on one thread — e.g. lockstepped episodes,
 /// which start and finish at different ticks of a shared loop — and so

@@ -279,7 +279,6 @@ void Server::shard_loop(Shard& shard) {
   telemetry::Counter& requests = reg.counter("serve.requests");
   telemetry::Counter& batches = reg.counter("serve.batches");
   telemetry::Counter& rejects = reg.counter("serve.rejected_requests");
-  telemetry::Histogram& latency = reg.histogram("serve.request_s");
   telemetry::Histogram& batch_size = reg.histogram("serve.batch_size");
   // Per-request latency attribution (DESIGN.md S5j): the end-to-end time of
   // every acted request splits exactly into queue wait (arrival -> drained
@@ -397,8 +396,6 @@ void Server::shard_loop(Shard& shard) {
 
         const auto done = std::chrono::steady_clock::now();
         requests.add();
-        latency.record(
-            std::chrono::duration<double>(forward_end - item.arrival).count());
         phase_queue.record(
             std::chrono::duration<double>(drained - item.arrival).count());
         phase_batch.record(batch_s);
@@ -439,21 +436,10 @@ void Server::export_loop() {
                                              started)
                    .count());
     if (telemetry::logging_enabled()) {
-      std::vector<telemetry::Field> fields;
-      const auto policy = store_.current();
-      fields.emplace_back("policy_version",
-                          static_cast<std::int64_t>(policy->version));
-      for (const auto& entry : telemetry::Registry::instance().snapshot()) {
-        if (entry.kind == telemetry::Registry::Kind::kHistogram) {
-          fields.emplace_back(entry.name + ".count", entry.hist.count);
-          fields.emplace_back(entry.name + ".p50", entry.hist.p50);
-          fields.emplace_back(entry.name + ".p90", entry.hist.p90);
-          fields.emplace_back(entry.name + ".p99", entry.hist.p99);
-          fields.emplace_back(entry.name + ".max", entry.hist.max);
-        } else {
-          fields.emplace_back(entry.name, entry.value);
-        }
-      }
+      auto fields = telemetry::snapshot_fields(
+          telemetry::Registry::instance().snapshot());
+      fields.emplace(fields.begin(), "policy_version",
+                     static_cast<std::int64_t>(store_.current()->version));
       telemetry::log_event("serve_metrics", 0, fields);
     }
     lock.lock();

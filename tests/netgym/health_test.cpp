@@ -227,25 +227,4 @@ TEST(Watchdog, MetricsLandInTheRegistry) {
       tel::Registry::instance().gauge("health.mean_entropy").value(), 1.0);
 }
 
-TEST(Watchdog, InstallFromEnvHonoursHealthAndFailFastVariables) {
-  health::Watchdog::instance().disable();
-  ::unsetenv("GENET_HEALTH");
-  ::unsetenv("GENET_HEALTH_FAIL_FAST");
-  EXPECT_FALSE(health::install_from_env());
-  EXPECT_FALSE(health::enabled());
-
-  const std::string path = ::testing::TempDir() + "health_env_test.jsonl";
-  LogFileGuard log_guard(path);
-  ::setenv("GENET_HEALTH", path.c_str(), 1);
-  ::setenv("GENET_HEALTH_FAIL_FAST", "1", 1);
-  EXPECT_TRUE(health::install_from_env());
-  EXPECT_TRUE(health::enabled());
-  EXPECT_TRUE(health::Watchdog::instance().options().fail_fast);
-  EXPECT_TRUE(tel::logging_enabled());  // the env var also named the sink
-  ::unsetenv("GENET_HEALTH");
-  ::unsetenv("GENET_HEALTH_FAIL_FAST");
-  health::Watchdog::instance().disable();
-  health::Watchdog::instance().reset();
-}
-
 }  // namespace

@@ -334,6 +334,45 @@ TEST(Histogram, AppearsInRegistrySnapshotAndMetricsTable) {
   EXPECT_EQ(table.back(), '\n');
 }
 
+TEST(Registry, SnapshotFieldsCoverEveryEntryKind) {
+  using Kind = tel::Registry::Kind;
+  std::vector<tel::Registry::Entry> entries(5);
+  entries[0] = {"c", Kind::kCounter, 3.0, 0, {}};
+  entries[1] = {"g", Kind::kGauge, -0.5, 0, {}};
+  entries[2] = {"t", Kind::kTimer, 1.25, 4, {}};
+  entries[3].name = "h";
+  entries[3].kind = Kind::kHistogram;
+  entries[3].hist.count = 4;
+  entries[3].hist.sum = 10.0;
+  entries[3].hist.p50 = 2.0;
+  entries[3].hist.p90 = 3.0;
+  entries[3].hist.p99 = 3.5;
+  entries[3].hist.max = 4.0;
+  entries[4].name = "empty";  // a histogram with no samples has mean 0
+  entries[4].kind = Kind::kHistogram;
+
+  const std::vector<tel::Field> fields = tel::snapshot_fields(entries);
+  const std::vector<std::pair<std::string, tel::FieldValue>> expected = {
+      {"c", 3.0},
+      {"g", -0.5},
+      {"t", 1.25},  // a timer renders its total seconds
+      {"h.count", std::int64_t{4}},
+      {"h.mean", 2.5},
+      {"h.p50", 2.0},
+      {"h.p90", 3.0},
+      {"h.p99", 3.5},
+      {"h.max", 4.0},
+      {"empty.count", std::int64_t{0}},
+      {"empty.mean", 0.0},
+      {"empty.p50", 0.0},
+      {"empty.p90", 0.0},
+      {"empty.p99", 0.0},
+      {"empty.max", 0.0},
+  };
+  EXPECT_EQ(fields, expected);
+  EXPECT_TRUE(tel::snapshot_fields({}).empty());
+}
+
 TEST(RunLogger, WritesOneParseableJsonLinePerEvent) {
   const std::string path =
       ::testing::TempDir() + "telemetry_runlogger_test.jsonl";

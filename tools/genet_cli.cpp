@@ -35,9 +35,7 @@
 #include "genet/curriculum.hpp"
 #include "genet/zoo.hpp"
 #include "netgym/checkpoint.hpp"
-#include "netgym/exposition.hpp"
-#include "netgym/flight.hpp"
-#include "netgym/health.hpp"
+#include "netgym/obs.hpp"
 #include "netgym/parallel.hpp"
 #include "netgym/parse.hpp"
 #include "netgym/stats.hpp"
@@ -114,36 +112,8 @@ every command also accepts:
                   CPU has them; same answers to ~1 ulp per multiply-add but
                   not bit-identical, and batch-size-dependent). Defaults to
                   the GENET_MATH env var when set.
-  --log-file F    write a JSONL run-telemetry trajectory (per-iteration,
-                  per-round, and per-BO-trial events) to F; defaults to the
-                  GENET_LOG env var when set. Telemetry never changes results.
-  --trace-out F   write a Chrome trace-event JSON span profile (round ->
-                  bo_trial -> eval -> episode nesting; open in Perfetto) to
-                  F; defaults to the GENET_TRACE env var when set.
-  --flight-out F  enable the episode flight recorder and dump the worst-k
-                  episodes (step-level actions/rewards/env internals) as
-                  JSONL to F; defaults to the GENET_FLIGHT env var when set.
-  --flight-k N    how many worst episodes to retain (default 8).
-  --health-out F  enable the training-health watchdog (gradient norms,
-                  approximate update-KL, explained variance, NaN sentinels,
-                  alert rules) and write its JSONL records to F. When
-                  --log-file / GENET_LOG already installed a sink, health
-                  records flow to that sink instead and F is ignored.
-                  Defaults to the GENET_HEALTH env var when set. Strictly
-                  observational: results are bit-identical with it on or off.
-  --health-fail-fast
-                  abort with a nonzero exit when the watchdog sees any
-                  non-finite value (env: GENET_HEALTH_FAIL_FAST=1).
-  --metrics-out F dump the final metrics table (counters, timers, histogram
-                  p50/p90/p99/max) to F; '-' writes to stdout.
-  --metrics-port P
-                  serve a live Prometheus text-exposition scrape of the
-                  metrics registry on 127.0.0.1:P for the duration of the
-                  run (0 picks an ephemeral port, printed on stdout);
-                  defaults to the GENET_METRICS_PORT env var when set.
-                  Read-only and localhost-only; results are bit-identical
-                  with it on or off.
 )");
+  std::fputs(netgym::obs::kUsage, stderr);
   std::exit(2);
 }
 
@@ -154,7 +124,8 @@ Options parse(int argc, char** argv, int first) {
   for (int i = first; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) != 0) usage("expected --option");
     const std::string key = argv[i] + 2;
-    if (key == "resume" || key == "health-fail-fast" || key == "slo-strict") {
+    if (key == "resume" || key == "slo-strict" ||
+        netgym::obs::is_switch(key)) {
       options[key] = "1";  // boolean flags: take no value
       continue;
     }
@@ -606,55 +577,7 @@ int main(int argc, char** argv) {
         usage("--math expects strict or fast");
       }
     }
-    if (options.count("log-file") != 0U) {
-      netgym::telemetry::open_global_logger(options.at("log-file"));
-    } else {
-      netgym::telemetry::open_global_logger_from_env();  // GENET_LOG
-    }
-    if (options.count("trace-out") != 0U) {
-      netgym::tracing::install(options.at("trace-out"));
-    } else {
-      netgym::tracing::install_from_env();  // GENET_TRACE
-    }
-    // Live metrics exposition (DESIGN.md S5j): read-only, localhost-only,
-    // strictly observational. Same strict-parse contract as every knob:
-    // the env var configures jobs globally, the flag overrides per run,
-    // garbage in either fails loudly naming the knob (pinned by ctest).
-    netgym::telemetry::MetricsEndpoint metrics_endpoint;
-    long long metrics_port = netgym::env_i64("GENET_METRICS_PORT", -1, 0,
-                                             65535);
-    if (options.count("metrics-port") != 0U) {
-      metrics_port = netgym::parse_i64_in_range(
-          "--metrics-port", options.at("metrics-port"), 0, 65535);
-    }
-    if (metrics_port >= 0) {
-      metrics_endpoint.start(static_cast<int>(metrics_port));
-      std::printf("metrics: listening on 127.0.0.1:%d\n",
-                  metrics_endpoint.port());
-    }
-    if (options.count("flight-out") != 0U) {
-      netgym::flight::install(options.at("flight-out"),
-                              get_int(options, "flight-k", 8));
-    } else {
-      netgym::flight::install_from_env();  // GENET_FLIGHT / GENET_FLIGHT_K
-    }
-    if (options.count("health-out") != 0U ||
-        options.count("health-fail-fast") != 0U) {
-      netgym::health::Options hopt;
-      hopt.fail_fast = options.count("health-fail-fast") != 0U;
-      netgym::health::Watchdog::instance().enable(hopt);
-      if (options.count("health-out") != 0U) {
-        if (netgym::telemetry::logging_enabled()) {
-          std::fprintf(stderr,
-                       "note: a run log is already installed; health records "
-                       "flow there, --health-out path ignored\n");
-        } else {
-          netgym::telemetry::open_global_logger(options.at("health-out"));
-        }
-      }
-    } else {
-      netgym::health::install_from_env();  // GENET_HEALTH[_FAIL_FAST]
-    }
+    netgym::obs::Session session(netgym::obs::parse(options));
     if (netgym::telemetry::logging_enabled()) {
       std::vector<netgym::telemetry::Field> fields;
       fields.emplace_back("command", command);
@@ -663,8 +586,7 @@ int main(int argc, char** argv) {
     }
     int rc = -1;
     {
-      // Span names are literals: the trace is flushed at process exit, after
-      // main's locals are gone.
+      // Span names are literals: the trace ring stores only the pointers.
       const char* span_name = command == "train"    ? "cmd.train"
                               : command == "eval"   ? "cmd.eval"
                               : command == "search" ? "cmd.search"
@@ -681,42 +603,16 @@ int main(int argc, char** argv) {
       else if (command == "fleet") rc = cmd_fleet(options);
     }
     if (rc >= 0) {
-      if (options.count("metrics-out") != 0U) {
-        const std::string& path = options.at("metrics-out");
-        const std::string table = netgym::telemetry::format_metrics_table();
-        if (path == "-") {
-          std::fputs(table.c_str(), stdout);
-        } else {
-          std::ofstream metrics(path);
-          if (!metrics) throw std::runtime_error("cannot write " + path);
-          metrics << table;
-        }
-      }
       if (netgym::telemetry::logging_enabled()) {
         // Close the trajectory with the final metric totals (env steps,
-        // episodes, rollout/update wall clock, ...). Histograms expand to
-        // their percentile read-out.
-        std::vector<netgym::telemetry::Field> fields;
-        fields.emplace_back("exit_code", static_cast<std::int64_t>(rc));
-        for (const auto& entry :
-             netgym::telemetry::Registry::instance().snapshot()) {
-          if (entry.kind == netgym::telemetry::Registry::Kind::kHistogram) {
-            fields.emplace_back(entry.name + ".count", entry.hist.count);
-            fields.emplace_back(
-                entry.name + ".mean",
-                entry.hist.count > 0
-                    ? entry.hist.sum / static_cast<double>(entry.hist.count)
-                    : 0.0);
-            fields.emplace_back(entry.name + ".p50", entry.hist.p50);
-            fields.emplace_back(entry.name + ".p90", entry.hist.p90);
-            fields.emplace_back(entry.name + ".p99", entry.hist.p99);
-            fields.emplace_back(entry.name + ".max", entry.hist.max);
-          } else {
-            fields.emplace_back(entry.name, entry.value);
-          }
-        }
+        // episodes, rollout/update wall clock, histogram percentiles, ...).
+        auto fields = netgym::telemetry::snapshot_fields(
+            netgym::telemetry::Registry::instance().snapshot());
+        fields.emplace(fields.begin(), "exit_code",
+                       static_cast<std::int64_t>(rc));
         netgym::telemetry::log_event("run_end", 0, fields);
       }
+      session.close();
       return rc;
     }
   } catch (const std::exception& e) {

@@ -19,9 +19,8 @@
 #include <string>
 #include <thread>
 
-#include "netgym/exposition.hpp"
+#include "netgym/obs.hpp"
 #include "netgym/parse.hpp"
-#include "netgym/telemetry.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -49,24 +48,14 @@ batching:
   --batch-window-us N how long a shard waits for stragglers (default 200)
   --poll-ms N         watch-directory poll interval (default 500)
 
-observability:
-  --log-file FILE     JSONL telemetry (swap events, periodic metrics);
-                      defaults to the GENET_LOG env var when set
-  --metrics-interval-s N
-                      emit a serve_metrics snapshot every N seconds (0 off)
-  --metrics-out FILE  dump the final metrics table on shutdown ('-' = stdout)
-  --metrics-port N    serve a live Prometheus text-exposition scrape of the
-                      metrics registry on 127.0.0.1:N (0 picks an ephemeral
-                      port; read-only, localhost-only); defaults to the
-                      GENET_METRICS_PORT env var when set
-  --metrics-port-file FILE
-                      write the actual metrics TCP port to FILE (for
-                      harnesses that pass --metrics-port 0)
-
 lifecycle:
   --max-seconds N     exit cleanly after N seconds (0 = run until signalled;
                       used by the CI smoke job)
+  --metrics-interval-s N
+                      log a serve_metrics snapshot to the run log every N
+                      seconds (0 off)
 )");
+  std::fputs(netgym::obs::kUsage, stderr);
   std::exit(2);
 }
 
@@ -77,6 +66,10 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) != 0) usage("expected --option");
     const std::string key = argv[i] + 2;
+    if (netgym::obs::is_switch(key)) {
+      options.try_emplace(key);
+      continue;
+    }
     if (i + 1 >= argc) usage(("missing value for --" + key).c_str());
     options[key] = argv[++i];
   }
@@ -125,16 +118,13 @@ int main(int argc, char** argv) {
       usage("--unix and --port are mutually exclusive");
     }
 
-    if (options.count("log-file") != 0U) {
-      netgym::telemetry::open_global_logger(options.at("log-file"));
-    } else {
-      netgym::telemetry::open_global_logger_from_env();  // GENET_LOG
-    }
-
     // A client vanishing mid-response must never kill the daemon: writes use
     // MSG_NOSIGNAL, and this covers any other stray EPIPE source.
     std::signal(SIGPIPE, SIG_IGN);
 
+    // Built before the server so its startup load lands in the run log, and
+    // destroyed after it.
+    netgym::obs::Session session(netgym::obs::parse(options));
     serve::Server server(sopt);
     std::string loaded;
     if (!checkpoint.empty()) {
@@ -145,30 +135,6 @@ int main(int argc, char** argv) {
     }
     const auto policy = server.store().current();
     server.start();
-
-    // Live metrics exposition (DESIGN.md S5j): read-only, localhost-only.
-    // Same strict-parse contract as the other knobs: garbage in the flag or
-    // the env var fails loudly naming the knob.
-    netgym::telemetry::MetricsEndpoint metrics_endpoint;
-    long long metrics_port = netgym::env_i64("GENET_METRICS_PORT", -1, 0,
-                                             65535);
-    if (options.count("metrics-port") != 0U) {
-      metrics_port = netgym::parse_i64_in_range(
-          "--metrics-port", options.at("metrics-port"), 0, 65535);
-    }
-    if (metrics_port >= 0) {
-      metrics_endpoint.start(static_cast<int>(metrics_port));
-      std::printf("metrics: listening on 127.0.0.1:%d\n",
-                  metrics_endpoint.port());
-      if (options.count("metrics-port-file") != 0U) {
-        std::ofstream mpf(options.at("metrics-port-file"));
-        if (!mpf) {
-          throw std::runtime_error("cannot write " +
-                                   options.at("metrics-port-file"));
-        }
-        mpf << metrics_endpoint.port() << "\n";
-      }
-    }
 
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
@@ -200,18 +166,7 @@ int main(int argc, char** argv) {
       }
     }
     server.stop();
-
-    if (options.count("metrics-out") != 0U) {
-      const std::string& path = options.at("metrics-out");
-      const std::string table = netgym::telemetry::format_metrics_table();
-      if (path == "-") {
-        std::fputs(table.c_str(), stdout);
-      } else {
-        std::ofstream metrics(path);
-        if (!metrics) throw std::runtime_error("cannot write " + path);
-        metrics << table;
-      }
-    }
+    session.close();
     std::printf("shutdown complete (policy v%u serving at exit)\n",
                 server.store().current()->version);
     return 0;
