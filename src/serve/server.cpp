@@ -17,6 +17,23 @@ namespace serve {
 
 namespace telemetry = netgym::telemetry;
 
+namespace {
+
+/// Adds `delta` to the live session states of every shard in the process and
+/// publishes the sum as the serve.sessions gauge. A Gauge can only be set, so
+/// the sum lives here; the lock keeps the last published value the true sum.
+void add_live_sessions(std::int64_t delta) {
+  static std::mutex mu;
+  static std::int64_t live = 0;
+  static telemetry::Gauge& gauge =
+      telemetry::Registry::instance().gauge("serve.sessions");
+  std::lock_guard<std::mutex> lock(mu);
+  live += delta;
+  gauge.set(static_cast<double>(live));
+}
+
+}  // namespace
+
 Server::Connection::~Connection() {
   if (fd >= 0) ::close(fd);
 }
@@ -140,9 +157,13 @@ void Server::stop() {
     });
   }
   for (auto& shard : shards_) shard->cv.notify_all();
+  std::int64_t dropped_sessions = 0;
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
+    dropped_sessions += static_cast<std::int64_t>(shard->sessions.size());
+    shard->sessions.clear();
   }
+  if (dropped_sessions != 0) add_live_sessions(-dropped_sessions);
   if (watch_thread_.joinable()) watch_thread_.join();
   if (export_thread_.joinable()) export_thread_.join();
   if (!opt_.unix_path.empty()) ::unlink(opt_.unix_path.c_str());
@@ -266,11 +287,18 @@ void Server::enqueue(Pending&& item) {
   const std::size_t s =
       std::hash<std::uint64_t>{}(item.session_id) % shards_.size();
   Shard& shard = *shards_[s];
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.queue.push_back(std::move(item));
+    // Wake the worker once per batch, not once per request: an empty queue
+    // is what its idle wait sleeps on, and a full batch is what closes its
+    // batching window early. Any arrival in between would only wake it to
+    // go back to sleep.
+    const std::size_t depth = shard.queue.size();
+    wake = depth == 1 || depth == static_cast<std::size_t>(opt_.batch_max);
   }
-  shard.cv.notify_one();
+  if (wake) shard.cv.notify_one();
 }
 
 void Server::shard_loop(Shard& shard) {
@@ -278,13 +306,14 @@ void Server::shard_loop(Shard& shard) {
   telemetry::Registry& reg = telemetry::Registry::instance();
   telemetry::Counter& requests = reg.counter("serve.requests");
   telemetry::Counter& batches = reg.counter("serve.batches");
+  telemetry::Counter& writes = reg.counter("serve.writes");
   telemetry::Counter& rejects = reg.counter("serve.rejected_requests");
   telemetry::Histogram& batch_size = reg.histogram("serve.batch_size");
   // Per-request latency attribution (DESIGN.md S5j): the end-to-end time of
   // every acted request splits exactly into queue wait (arrival -> drained
   // from the shard queue), batch formation (drained -> forward start),
   // forward (the fused act_batch call), and write-back (forward end -> the
-  // response handed to the socket). The four phase durations sum to
+  // return of the write that carries the response). The four durations sum to
   // serve.phase.total_s per request by construction.
   telemetry::Histogram& phase_queue = reg.histogram("serve.phase.queue_s");
   telemetry::Histogram& phase_batch = reg.histogram("serve.phase.batch_s");
@@ -299,11 +328,24 @@ void Server::shard_loop(Shard& shard) {
   std::unique_ptr<rl::MlpPolicy> policy;
   std::uint32_t policy_version = 0;
   std::vector<Pending> batch;
-  std::vector<Pending*> acts;
   std::vector<double> rows;
   std::vector<netgym::Rng*> rngs;
   std::vector<int> actions;
-  std::string out;
+  // A batch's responses, one outbox per connection in order of first
+  // appearance. Slots are reused across batches (their buffers keep their
+  // capacity); `conn` stays valid while `batch` holds the connection.
+  struct Outbox {
+    Connection* conn = nullptr;
+    std::string bytes;
+    std::chrono::steady_clock::time_point sent;
+  };
+  std::vector<Outbox> outboxes;
+  // The batch's answered acts: arrival time and the outbox that carries it.
+  struct Acted {
+    std::chrono::steady_clock::time_point arrival;
+    std::size_t box = 0;
+  };
+  std::vector<Acted> acted;
 
   for (;;) {
     batch.clear();
@@ -340,70 +382,100 @@ void Server::shard_loop(Shard& shard) {
     }
     const std::size_t obs_size = static_cast<std::size_t>(current->obs_size());
 
-    acts.clear();
+    // Pack the rows of the well-formed acts for one fused forward.
     rows.clear();
-    for (Pending& item : batch) {
-      if (item.close_session) {
-        shard.sessions.erase(item.session_id);
-        out.clear();
-        encode_close_ok(out, item.session_id);
-        send_all(*item.conn, out);
-        continue;
+    std::size_t n = 0;
+    for (const Pending& item : batch) {
+      if (item.close_session || item.obs.size() != obs_size) continue;
+      rows.insert(rows.end(), item.obs.begin(), item.obs.end());
+      ++n;
+    }
+    std::chrono::steady_clock::time_point forward_start;
+    std::chrono::steady_clock::time_point forward_end;
+    if (n > 0) {
+      rngs.assign(n, &greedy_rng);
+      actions.resize(n);
+      forward_start = std::chrono::steady_clock::now();
+      policy->act_batch(rows.data(), n, rngs.data(), actions.data());
+      forward_end = std::chrono::steady_clock::now();
+      batches.add();
+      batch_size.record(static_cast<double>(n));
+    }
+
+    // Answer in arrival order: every response (act, close or error) is
+    // appended to its connection's outbox, and session state changes in the
+    // same walk, so a session's requests take effect and are answered in the
+    // order they arrived whatever mix of acts and closes the batch holds.
+    std::size_t used = 0;  // outboxes holding this batch's connections
+    acted.clear();
+    std::int64_t session_delta = 0;
+    std::size_t next_action = 0;
+    for (const Pending& item : batch) {
+      std::size_t box = 0;
+      while (box < used && outboxes[box].conn != item.conn.get()) ++box;
+      if (box == used) {
+        if (used == outboxes.size()) outboxes.emplace_back();
+        outboxes[used].conn = item.conn.get();
+        outboxes[used].bytes.clear();
+        ++used;
       }
-      if (item.obs.size() != obs_size) {
+      std::string& out = outboxes[box].bytes;
+      if (item.close_session) {
+        session_delta -=
+            static_cast<std::int64_t>(shard.sessions.erase(item.session_id));
+        encode_close_ok(out, item.session_id);
+      } else if (item.obs.size() != obs_size) {
         // Semantic error: answer with a diagnostic but keep the connection
         // (the stream itself is fine).
         rejects.add();
-        out.clear();
         encode_error(out, "act: expected " + std::to_string(obs_size) +
                               " observation values, got " +
                               std::to_string(item.obs.size()));
-        send_all(*item.conn, out);
-        continue;
-      }
-      rows.insert(rows.end(), item.obs.begin(), item.obs.end());
-      acts.push_back(&item);
-    }
-
-    if (!acts.empty()) {
-      const std::size_t n = acts.size();
-      rngs.assign(n, &greedy_rng);
-      actions.resize(n);
-      const auto forward_start = std::chrono::steady_clock::now();
-      policy->act_batch(rows.data(), n, rngs.data(), actions.data());
-      const auto forward_end = std::chrono::steady_clock::now();
-      batches.add();
-      batch_size.record(static_cast<double>(n));
-      const double forward_s =
-          std::chrono::duration<double>(forward_end - forward_start).count();
-      const double batch_s =
-          std::chrono::duration<double>(forward_start - drained).count();
-
-      for (std::size_t i = 0; i < n; ++i) {
-        Pending& item = *acts[i];
-        SessionState& session = shard.sessions[item.session_id];
+      } else {
+        const auto [it, inserted] = shard.sessions.try_emplace(item.session_id);
+        session_delta += inserted ? 1 : 0;
+        SessionState& session = it->second;
+        const int action = actions[next_action++];
         ++session.requests;
-        session.last_action = actions[i];
+        session.last_action = action;
         session.last_version = policy_version;
 
         ActResponse resp;
         resp.session_id = item.session_id;
-        resp.action = actions[i];
+        resp.action = action;
         resp.policy_version = policy_version;
-        out.clear();
         encode_act_ok(out, resp);
-        send_all(*item.conn, out);
+        acted.push_back({item.arrival, box});
+      }
+    }
+    // Published before the writes, so a client that reads a close_ok never
+    // sees the closed session still counted.
+    if (session_delta != 0) add_live_sessions(session_delta);
 
-        const auto done = std::chrono::steady_clock::now();
-        requests.add();
+    // One write per connection; a request is done when its connection's
+    // write returns.
+    for (std::size_t b = 0; b < used; ++b) {
+      send_all(*outboxes[b].conn, outboxes[b].bytes);
+      writes.add();
+      outboxes[b].sent = std::chrono::steady_clock::now();
+    }
+
+    if (!acted.empty()) {
+      requests.add(static_cast<std::int64_t>(acted.size()));
+      const double forward_s =
+          std::chrono::duration<double>(forward_end - forward_start).count();
+      const double batch_s =
+          std::chrono::duration<double>(forward_start - drained).count();
+      for (const Acted& request : acted) {
+        const auto done = outboxes[request.box].sent;
         phase_queue.record(
-            std::chrono::duration<double>(drained - item.arrival).count());
+            std::chrono::duration<double>(drained - request.arrival).count());
         phase_batch.record(batch_s);
         phase_forward.record(forward_s);
         phase_write.record(
             std::chrono::duration<double>(done - forward_end).count());
         phase_total.record(
-            std::chrono::duration<double>(done - item.arrival).count());
+            std::chrono::duration<double>(done - request.arrival).count());
       }
     }
   }

@@ -26,11 +26,14 @@ namespace serve {
 //                         | decode frames, route by hash(session_id)
 //                         v
 //                 N batching shards (one worker thread each)
-//                         | drain up to batch_max requests, waiting at most
+//                         | woken once per batch: by the first request into
+//                         | an empty queue, then by the batch_max-th; drain
+//                         | up to batch_max requests, waiting at most
 //                         | batch_window_us for stragglers, then one
 //                         | rl::MlpPolicy::act_batch forward
 //                         v
-//                 responses written back on each request's own connection
+//                 responses appended in arrival order to one buffer per
+//                 connection, then one write per connection per batch
 //   + a watcher thread polling the checkpoint directory for hot swaps
 //   + an optional telemetry exporter emitting periodic registry snapshots
 //

@@ -5,7 +5,9 @@
 // hot swaps must change the served version without failing a single request
 // -- including the failed-swap case, where a corrupt checkpoint is skipped
 // and the old policy keeps serving -- and the per-phase latency attribution
-// must partition every request's end-to-end time.
+// must partition every request's end-to-end time. A batch answers in arrival
+// order with one write per connection, and a full batch closes the batching
+// window early.
 
 #include <gtest/gtest.h>
 
@@ -220,6 +222,100 @@ TEST(ServeServer, CloseSessionDropsStateAndAnswers) {
   client.close_session(5);
   // Closing a session that never existed is also answered, not an error.
   client.close_session(999);
+}
+
+TEST(ServeServer, ActThenCloseInOneBatchAnswersInOrder) {
+  // An act and a close of one session, pipelined into one batch (one shard,
+  // a window far longer than the two frames take to arrive), must take
+  // effect and be answered in arrival order: act_ok, then close_ok, and the
+  // act must not bring the closed session back.
+  const fs::path dir = test_dir("act_close_order");
+  serve::ServerOptions opt;
+  opt.shards = 1;
+  opt.batch_window_us = 20000;
+  auto server = start_server(write_policy(dir / "p.ckpt", 1), opt);
+  netgym::telemetry::Gauge& sessions =
+      netgym::telemetry::Registry::instance().gauge("serve.sessions");
+  const double sessions_before = sessions.value();
+
+  serve::Client client = serve::Client::connect_tcp(server->port());
+  const std::vector<double> obs = make_obs(5);
+  std::string burst;
+  serve::encode_act(burst, 5, obs.data(), obs.size());
+  serve::encode_close(burst, 5);
+  client.send_raw(burst);
+  const std::string first = client.read_frame();
+  const std::string second = client.read_frame();
+  ASSERT_EQ(serve::type_of(first), serve::MsgType::kActOk);
+  EXPECT_EQ(serve::decode_act_ok(first).session_id, 5u);
+  ASSERT_EQ(serve::type_of(second), serve::MsgType::kCloseOk);
+  EXPECT_EQ(serve::decode_close_ok(second), 5u);
+  EXPECT_EQ(sessions.value(), sessions_before)
+      << "the act re-created the session its close dropped";
+}
+
+/// Current value of a registry counter (the registry is process-wide, so
+/// tests compare two reads).
+std::int64_t counter_value(const std::string& name) {
+  return netgym::telemetry::Registry::instance().counter(name).value();
+}
+
+TEST(ServeServer, PipelinedBurstIsOneWritePerConnectionPerBatch) {
+  // Every batch answers its requests on one connection with one write.
+  const fs::path dir = test_dir("one_write");
+  serve::ServerOptions opt;
+  opt.shards = 1;
+  auto server = start_server(write_policy(dir / "p.ckpt", 2), opt);
+  const std::int64_t writes_before = counter_value("serve.writes");
+  const std::int64_t batches_before = counter_value("serve.batches");
+
+  serve::Client client = serve::Client::connect_tcp(server->port());
+  constexpr int kActsInBurst = 32;
+  std::string burst;
+  for (std::uint64_t sid = 0; sid < kActsInBurst; ++sid) {
+    const std::vector<double> obs = make_obs(sid);
+    serve::encode_act(burst, sid, obs.data(), obs.size());
+  }
+  client.send_raw(burst);
+  for (int i = 0; i < kActsInBurst; ++i) {
+    EXPECT_EQ(serve::type_of(client.read_frame()), serve::MsgType::kActOk);
+  }
+  server->stop();  // the shard has counted its last write once it is joined
+
+  const std::int64_t batches = counter_value("serve.batches") - batches_before;
+  EXPECT_GE(batches, 1);
+  EXPECT_EQ(counter_value("serve.writes") - writes_before, batches);
+}
+
+TEST(ServeServer, FullBatchClosesTheWindowEarly) {
+  // The shard sleeps through its batching window unless the batch fills:
+  // the batch_max-th arrival must wake it. The first act goes alone, so the
+  // shard is already inside its 2 s window when the other seven arrive.
+  const fs::path dir = test_dir("full_batch");
+  serve::ServerOptions opt;
+  opt.shards = 1;
+  opt.batch_max = 8;
+  opt.batch_window_us = 2000000;
+  auto server = start_server(write_policy(dir / "p.ckpt", 3), opt);
+  serve::Client client = serve::Client::connect_tcp(server->port());
+
+  std::string first;
+  std::string rest;
+  for (std::uint64_t sid = 0; sid < 8; ++sid) {
+    const std::vector<double> obs = make_obs(sid);
+    serve::encode_act(sid == 0 ? first : rest, sid, obs.data(), obs.size());
+  }
+  client.send_raw(first);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto sent = std::chrono::steady_clock::now();
+  client.send_raw(rest);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(serve::type_of(client.read_frame()), serve::MsgType::kActOk);
+  }
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - sent)
+                            .count();
+  EXPECT_LT(waited, 1.0) << "a full batch waited out the batching window";
 }
 
 /// Count and sum of every serve.phase.* histogram, read from the registry.
