@@ -64,8 +64,8 @@ double cached(genet::ModelZoo& zoo, const std::string& key,
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Ablation - Genet's own hyperparameters (LB task)",
       "design-choice sensitivity called out in DESIGN.md: promotion weight, "
       "BO budget, gap-estimate sample count, and the forgetting probe");

@@ -55,8 +55,8 @@ void run_task(const std::string& task, const std::string& baseline) {
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 2 - challenges of training over wide environment ranges",
       "RL's edge over rule-based baselines diminishes from RL1 to RL3, and "
       "RL loses on a substantial fraction of environments");

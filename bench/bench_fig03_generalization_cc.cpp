@@ -51,8 +51,8 @@ std::vector<double> trace_trained_params(genet::ModelZoo& zoo,
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 3 - generalization issues of RL-based CC",
       "synthetic-trained CC wins on synthetic tests but loses to BBR on "
       "real trace sets; cross-trace-set transfer degrades similarly");

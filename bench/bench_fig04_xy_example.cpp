@@ -44,8 +44,8 @@ double eval_on(netgym::Policy& policy, const abr::AbrEnvConfig& cfg) {
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figures 4 & 5 - why sequencing environments is hard",
       "adding X (larger gap-to-optimum) barely improves X and hurts Y; "
       "adding Y improves both -- gap-to-optimum misleads");

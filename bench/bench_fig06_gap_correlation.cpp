@@ -84,8 +84,8 @@ void run_panel(const std::string& task, const std::string& baseline,
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 6 - gap-to-baseline predicts training improvement",
       "paper reports r=0.85 (ABR) and r=0.88 (CC) for gap-to-baseline vs "
       "r=0.49 for gap-to-optimum");

@@ -66,8 +66,8 @@ void run_task(const std::string& task, const std::string& baseline) {
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 9 - asymptotic performance on the full target distribution",
       "Genet outperforms traditionally trained RL1/RL2/RL3 by 8-25% (ABR), "
       "14-24% (CC), 15% (LB); no clear ranking among RL1/RL2/RL3");

@@ -31,8 +31,8 @@ double eval_config(netgym::Policy& policy, const abr::AbrEnvConfig& cfg,
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 10 - ABR reward along individual environment parameters",
       "Genet-trained policies hold a consistent advantage across parameter "
       "values, not by trading some regions for others");

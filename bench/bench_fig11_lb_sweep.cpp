@@ -22,8 +22,8 @@ double eval_config(netgym::Policy& policy, const lb::LbEnvConfig& cfg,
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 11 - LB reward along individual environment parameters",
       "the Genet-trained LB policy outperforms traditional RL by ~15% "
       "across job sizes and arrival intervals");

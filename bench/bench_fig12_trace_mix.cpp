@@ -75,8 +75,8 @@ void run_task(const std::string& task,
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 12 - training with real traces mixed into synthetic "
       "environments",
       "Genet outperforms traditional RL by 17-18% regardless of the real "

@@ -52,8 +52,8 @@ void run_panel(const std::string& task, const std::string& baseline,
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 13 - generalization from synthetic training to trace-driven "
       "tests",
       "Genet-trained policies, trained only on synthetic environments, "

@@ -34,8 +34,8 @@ void compare(const std::string& task, const std::string& baseline) {
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 14 - impact of the rule-based baseline choice",
       "Genet-trained policies outperform whichever reasonable baseline "
       "guided them; a naive baseline gives no curriculum signal");

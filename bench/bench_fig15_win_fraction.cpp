@@ -59,8 +59,8 @@ void run_panel(const std::string& task, const std::string& baseline,
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 15 - fraction of traces where the RL policy beats the "
       "rule-based baseline",
       "Genet-trained policies beat the baseline they were trained against "

@@ -134,8 +134,8 @@ void cc_panel() {
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 16 + Tables 6, 7 - fixed-path tests",
       "Genet wins on most paths; ABR Path 2 leaves no room (bandwidth >> "
       "top bitrate) and CC Path 3's deep queue is outside the training "

@@ -120,8 +120,8 @@ void abr_panel(traces::TraceSet set) {
 
 }  // namespace
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 17 - QoE frontier: RL-based vs rule-based schemes",
       "Genet-trained ABR and CC policies sit on the throughput/latency "
       "(bitrate/rebuffering) frontier across trace sets");

@@ -53,8 +53,7 @@ std::vector<double> curriculum_curve(
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
-  bench::print_header(
+  bench::print_header(argc, argv,
       "Figure 18 + Figure 22 - training curves of curriculum strategies "
       "(ABR)",
       "Genet's curve ramps up faster than RL3 and CL1/CL2/CL3; doubling "

@@ -10,8 +10,8 @@
 #include "exp_common.hpp"
 #include "genet/robustify.hpp"
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Figure 19 - Genet vs Robustify-style adversarial trace selection",
       "BO with Robustify's regret-minus-smoothness criterion lands below "
       "Genet; the non-smoothness penalty misjudges which environments are "

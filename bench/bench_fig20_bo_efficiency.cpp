@@ -68,8 +68,7 @@ void run_panel(const std::string& task, const std::string& baseline,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
-  bench::print_header(
+  bench::print_header(argc, argv,
       "Figure 20 - search efficiency of the sequencing module",
       "within ~15 BO steps the search matches what random exploration needs "
       "~100 points for; grid search converges slower");

@@ -30,7 +30,8 @@
 #include <thread>
 #include <vector>
 
-#include "netgym/parse.hpp"
+#include "flag_tables.hpp"
+#include "netgym/flags.hpp"
 #include "netgym/rng.hpp"
 #include "serve/client.hpp"
 
@@ -41,73 +42,40 @@ namespace {
 /// (or the connection handling) is stuck, not merely slow.
 constexpr double kMinRequestsPerS = 100.0;
 
+/// The flags::tables::kServeLoad flags, resolved (--help describes them).
 struct Config {
-  bool quick = false;
-  long sessions = 100000;
-  int rounds = 4;          // act requests per session
-  int connections = 16;    // client connections (one thread each)
-  int window = 64;         // pipelined requests in flight per connection
-  int port = 0;
+  long sessions;
+  int rounds;       // act requests per session
+  int connections;  // client connections (one thread each)
+  int window;       // pipelined requests in flight per connection
+  int port;
   std::string unix_path;
   // Hot swap: copy `swap_from` into `swap_dir` mid-run.
   std::string swap_from;
   std::string swap_dir;
 };
 
-[[noreturn]] void usage(const char* error) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr, R"(usage: bench_serve_load (--port N | --unix PATH) [opts]
-  --port N              drive the daemon on 127.0.0.1:N
-  --unix PATH           drive a Unix-socket daemon
-  --quick               small run for CI (fewer sessions/connections)
-  --sessions N          simulated concurrent sessions (default 100000)
-  --rounds N            act requests per session (default 4)
-  --connections N       client connections, one thread each (default 16)
-  --window N            pipelined requests per connection (default 64)
-  --swap-from FILE      checkpoint to hot-swap in mid-run...
-  --swap-dir DIR        ...by atomically copying it into this watch dir
-)");
-  std::exit(2);
-}
-
 Config parse_args(int argc, char** argv) {
-  Config cfg;
-  const auto int_arg = [&](int& i, const char* flag, std::int64_t lo,
-                           std::int64_t hi) {
-    if (i + 1 >= argc) usage(("missing value for " + std::string(flag)).c_str());
-    return netgym::parse_i64_in_range(flag, argv[++i], lo, hi);
+  namespace flags = netgym::flags;
+  const flags::Args args = flags::parse_or_exit(
+      {flags::tables::kServeLoad}, "bench_serve_load", argc, argv);
+  const auto num = [&](const char* name) {
+    return static_cast<int>(args.integer(name));
   };
-  const auto str_arg = [&](int& i, const char* flag) {
-    if (i + 1 >= argc) usage(("missing value for " + std::string(flag)).c_str());
-    return std::string(argv[++i]);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") cfg.quick = true;
-    else if (a == "--sessions")
-      cfg.sessions = int_arg(i, "--sessions", 1, 100'000'000);
-    else if (a == "--rounds")
-      cfg.rounds = static_cast<int>(int_arg(i, "--rounds", 1, 10'000));
-    else if (a == "--connections")
-      cfg.connections = static_cast<int>(int_arg(i, "--connections", 1, 1024));
-    else if (a == "--window")
-      cfg.window = static_cast<int>(int_arg(i, "--window", 1, 65536));
-    else if (a == "--port")
-      cfg.port = static_cast<int>(int_arg(i, "--port", 1, 65535));
-    else if (a == "--unix") cfg.unix_path = str_arg(i, "--unix");
-    else if (a == "--swap-from") cfg.swap_from = str_arg(i, "--swap-from");
-    else if (a == "--swap-dir") cfg.swap_dir = str_arg(i, "--swap-dir");
-    else usage(("unknown option " + a).c_str());
-  }
+  const bool quick = args.on("quick");
+  const Config cfg{quick ? std::min(num("sessions"), 5000) : num("sessions"),
+                   num("rounds"),
+                   quick ? std::min(num("connections"), 8) : num("connections"),
+                   num("window"),
+                   args.has("port") ? num("port") : 0,
+                   args.text("unix"),
+                   args.text("swap-from"),
+                   args.text("swap-dir")};
   if ((cfg.port == 0) == cfg.unix_path.empty()) {
-    usage("give exactly one of --port and --unix");
+    flags::fail("bench_serve_load", "give exactly one of --port and --unix");
   }
   if (cfg.swap_from.empty() != cfg.swap_dir.empty()) {
-    usage("--swap-from and --swap-dir go together");
-  }
-  if (cfg.quick) {
-    cfg.sessions = std::min<long>(cfg.sessions, 5000);
-    cfg.connections = std::min(cfg.connections, 8);
+    flags::fail("bench_serve_load", "--swap-from and --swap-dir go together");
   }
   return cfg;
 }

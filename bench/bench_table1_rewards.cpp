@@ -9,8 +9,8 @@
 #include "exp_common.hpp"
 #include "lb/env.hpp"
 
-int main() {
-  bench::print_header(
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
       "Table 1 - reward definitions",
       "ABR: sum(a*Rebuf + b*Bitrate + g*|Change|)/n, a=-10/s, b=1/Mbps, "
       "g=-1/Mbps; CC: sum(a*Thpt + b*Lat + c*Loss)/n, a=120/Mbps, b=-1000/s "

@@ -31,8 +31,9 @@ void print_space(const std::string& task) {
 
 }  // namespace
 
-int main() {
-  bench::print_header("Tables 3-5 - RL1/RL2/RL3 environment ranges",
+int main(int argc, char** argv) {
+  bench::print_header(argc, argv,
+                      "Tables 3-5 - RL1/RL2/RL3 environment ranges",
                       "nested parameter ranges per use case; RL1 narrow, "
                       "RL3 the full target space");
   print_space("abr");

@@ -2,24 +2,22 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <limits>
 #include <stdexcept>
 
+#include "flag_tables.hpp"
 #include "netgym/checkpoint.hpp"
-#include "nn/gemm.hpp"
+#include "netgym/flags.hpp"
 #include "netgym/obs.hpp"
 #include "netgym/parallel.hpp"
-#include "netgym/parse.hpp"
 #include "netgym/telemetry.hpp"
+#include "nn/gemm.hpp"
 
 namespace bench {
 
 namespace {
 
 std::string g_checkpoint_dir;
-netgym::obs::Flags g_obs_flags;  ///< observability flags, read by print_header
 
 /// Snapshot path for one zoo training run; "" when checkpointing is off.
 /// Creating the directory lazily keeps --checkpoint-dir side-effect free for
@@ -30,19 +28,7 @@ std::string checkpoint_path_for(const std::string& key) {
   return (std::filesystem::path(g_checkpoint_dir) / (key + ".ckpt")).string();
 }
 
-[[noreturn]] void common_flags_usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--threads N] [--checkpoint-dir D] "
-               "[observability flags]\n%s",
-               argv0, netgym::obs::kUsage);
-  std::exit(2);
-}
-
 }  // namespace
-
-void set_checkpoint_dir(const std::string& dir) { g_checkpoint_dir = dir; }
-
-const std::string& checkpoint_dir() { return g_checkpoint_dir; }
 
 int traditional_iterations(const std::string& task) {
   if (task == "abr") return 6000;
@@ -168,57 +154,22 @@ void parallel_sweep(int n, std::uint64_t seed,
   });
 }
 
-void parse_common_flags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* flag = argv[i];
-    if (std::strncmp(flag, "--", 2) != 0) continue;
-    const std::string name = flag + 2;
-    const bool obs = netgym::obs::is_flag(name);
-    if (!obs && name != "threads" && name != "checkpoint-dir") continue;
-    if (netgym::obs::is_switch(name)) {
-      g_obs_flags.try_emplace(name);
-      continue;
-    }
-    // A known flag with no value is an error, not a request for defaults.
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "error: %s expects a value\n", flag);
-      common_flags_usage(argv[0]);
-    }
-    const char* value = argv[++i];
-    if (obs) {
-      g_obs_flags[name] = value;
-    } else if (name == "threads") {
-      // Strict parse: garbage, values below 1 and values beyond int exit
-      // nonzero with a usage message instead of picking a thread count.
-      std::int64_t threads = 0;
-      try {
-        threads = netgym::parse_i64_in_range(
-            "--threads", value, 1, std::numeric_limits<int>::max());
-      } catch (const std::invalid_argument&) {
-        std::fprintf(stderr,
-                     "error: --threads expects a positive integer, got '%s'\n",
-                     value);
-        common_flags_usage(argv[0]);
-      }
-      netgym::set_num_threads(static_cast<int>(threads));
-    } else {
-      set_checkpoint_dir(value);
-    }
+void print_header(int argc, char** argv, const std::string& experiment,
+                  const std::string& claim) {
+  const netgym::flags::Args args = netgym::flags::parse_or_exit(
+      {netgym::flags::tables::kBench, netgym::obs::kFlags},
+      std::filesystem::path(argv[0]).filename().string(), argc, argv);
+  if (args.has("threads")) {
+    netgym::set_num_threads(static_cast<int>(args.integer("threads")));
   }
-}
-
-void print_header(const std::string& experiment, const std::string& claim) {
+  g_checkpoint_dir = args.text("checkpoint-dir");
   try {
     // Static: lives until exit, when its destructor writes the trace, the
     // flight recording and --metrics-out.
-    static netgym::obs::Session session(netgym::obs::parse(g_obs_flags));
+    static netgym::obs::Session session(netgym::obs::parse(args));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(2);
-  }
-  if (g_checkpoint_dir.empty()) {
-    const char* env = std::getenv("GENET_CHECKPOINT_DIR");
-    if (env != nullptr && env[0] != '\0') set_checkpoint_dir(env);
   }
   netgym::telemetry::log_event("run_start", 0,
                                {{"experiment", experiment}, {"claim", claim}});

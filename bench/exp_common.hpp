@@ -65,36 +65,12 @@ std::vector<double> curriculum_params(
 void parallel_sweep(int n, std::uint64_t seed,
                     const std::function<void(int, netgym::Rng&)>& body);
 
-/// Common command-line controls for the experiment harnesses:
-///   --threads N         resize the global rollout/evaluation pool
-///   --checkpoint-dir D  crash-safe training snapshots: every zoo training
-///                       run saves D/<key>.ckpt per curriculum round (every
-///                       10 iterations for traditional runs) and resumes
-///                       from it when present, so a killed harness re-run
-///                       picks up mid-training with bit-identical results
-/// plus every observability flag of netgym::obs (--log-file, --trace-out,
-/// --flight-out, --flight-k, --health-out, --health-fail-fast,
-/// --metrics-port, --metrics-port-file, --metrics-out), which print_header
-/// applies. Unrecognized arguments are ignored so harnesses stay free to add
-/// their own; a known flag with a missing or bad value exits 2 with a usage
-/// line. Call from main() before print_header.
-void parse_common_flags(int argc, char** argv);
-
-/// Snapshot directory used by `traditional_params`/`curriculum_params`
-/// (empty = checkpointing disabled). `print_header` seeds it from the
-/// GENET_CHECKPOINT_DIR environment variable unless already set.
-void set_checkpoint_dir(const std::string& dir);
-const std::string& checkpoint_dir();
-
-/// Pretty-printing helpers: every harness leads with the experiment id and
-/// what the paper's version of the plot shows. `print_header` also opens the
-/// process's one netgym::obs::Session from the flags parse_common_flags saw
-/// and the GENET_* observability variables (each knob: flag, then env var,
-/// then default), which lives until exit and then writes the trace, the
-/// flight recording and --metrics-out; a bad knob exits 2 naming it. It then
-/// emits a "run_start" event, so *every* bench can write a machine-readable
-/// trajectory.
-void print_header(const std::string& experiment, const std::string& claim);
+/// Every harness leads with the experiment id and what the paper's version
+/// of the plot shows. `print_header` first parses argv against kBench +
+/// obs::kFlags (flag_tables.hpp; --help lists them), then opens the one
+/// obs::Session, live until exit, and logs "run_start". Call it first.
+void print_header(int argc, char** argv, const std::string& experiment,
+                  const std::string& claim);
 void print_row(const std::string& label, const std::vector<double>& values,
                int width = 10, int precision = 3);
 

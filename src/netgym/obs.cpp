@@ -1,27 +1,18 @@
 #include "netgym/obs.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
 
 #include "netgym/flight.hpp"
 #include "netgym/health.hpp"
-#include "netgym/parse.hpp"
 #include "netgym/telemetry.hpp"
 #include "netgym/tracing.hpp"
 
 namespace netgym::obs {
 
 namespace {
-
-constexpr std::array<std::string_view, 9> kFlagNames = {
-    "log-file",     "trace-out",         "flight-out",
-    "flight-k",     "health-out",        "health-fail-fast",
-    "metrics-port", "metrics-port-file", "metrics-out"};
 
 /// Write `text` to `path`, or to stdout when `path` is "-".
 void write_text(const std::string& path, const std::string& text) {
@@ -36,58 +27,19 @@ void write_text(const std::string& path, const std::string& text) {
 
 }  // namespace
 
-const char* const kUsage = R"(
-observability (each flag but the last two defaults to its env var):
-  --log-file F          JSONL run log (GENET_LOG)
-  --trace-out F         Chrome trace-event span profile (GENET_TRACE)
-  --flight-out F        JSONL steps of the worst-k episodes (GENET_FLIGHT)
-  --flight-k N          episodes kept, 1..1048576 (GENET_FLIGHT_K, default 8)
-  --health-out F        training-health watchdog and its JSONL stream; a
-                        --log-file sink takes the records instead (GENET_HEALTH)
-  --health-fail-fast    watchdog on; exit nonzero on any non-finite value
-                        (GENET_HEALTH_FAIL_FAST=0|1)
-  --metrics-port P      live Prometheus scrape on 127.0.0.1:P, 0 picks a port
-                        (GENET_METRICS_PORT)
-  --metrics-port-file F write the bound metrics port to F
-  --metrics-out F       final metrics table at exit ('-' = stdout)
-Bad values fail naming the knob. Every sink is strictly observational:
-results are bit-identical with any of them on or off.
-)";
-
-Options parse(const Flags& flags) {
-  const auto text = [&](const char* flag, const char* env) -> std::string {
-    if (const auto it = flags.find(flag); it != flags.end()) return it->second;
-    const char* value = env != nullptr ? std::getenv(env) : nullptr;
-    return value != nullptr ? value : "";
-  };
-  const auto integer = [&](const char* flag, const char* env, int fallback,
-                           int lo, int hi) {
-    if (const auto it = flags.find(flag); it != flags.end()) {
-      const std::string what = std::string("--") + flag;
-      return static_cast<int>(
-          parse_i64_in_range(what.c_str(), it->second, lo, hi));
-    }
-    return static_cast<int>(env_i64(env, fallback, lo, hi));
-  };
-  Options o;
-  o.log_file = text("log-file", "GENET_LOG");
-  o.trace_out = text("trace-out", "GENET_TRACE");
-  o.flight_out = text("flight-out", "GENET_FLIGHT");
-  o.flight_k = integer("flight-k", "GENET_FLIGHT_K", 8, 1, 1 << 20);
-  o.health_out = text("health-out", "GENET_HEALTH");
-  o.health_fail_fast =
-      flags.count("health-fail-fast") != 0U ||
-      env_i64("GENET_HEALTH_FAIL_FAST", 0, 0, 1) == 1;
-  o.metrics_port =
-      integer("metrics-port", "GENET_METRICS_PORT", -1, 0, 65535);
-  o.metrics_port_file = text("metrics-port-file", nullptr);
-  o.metrics_out = text("metrics-out", nullptr);
-  return o;
-}
-
-bool is_flag(std::string_view name) {
-  return std::find(kFlagNames.begin(), kFlagNames.end(), name) !=
-         kFlagNames.end();
+Options parse(const flags::Args& args) {
+  return {
+      .log_file = args.text("log-file"),
+      .trace_out = args.text("trace-out"),
+      .flight_out = args.text("flight-out"),
+      .flight_k = static_cast<int>(args.integer("flight-k")),
+      .health_out = args.text("health-out"),
+      .health_fail_fast = args.on("health-fail-fast"),
+      .metrics_port = args.has("metrics-port")
+                          ? static_cast<int>(args.integer("metrics-port"))
+                          : -1,
+      .metrics_port_file = args.text("metrics-port-file"),
+      .metrics_out = args.text("metrics-out")};
 }
 
 Session::Session(Options options) : options_(std::move(options)) {

@@ -1,10 +1,9 @@
 #pragma once
 
-#include <map>
 #include <string>
-#include <string_view>
 
 #include "netgym/exposition.hpp"
+#include "netgym/flags.hpp"
 
 namespace netgym::obs {
 
@@ -12,16 +11,30 @@ namespace netgym::obs {
 // run log, the Chrome span trace, the worst-k flight recording, the
 // training-health stream and the metrics endpoint/dump -- comes from five
 // process-global sinks. Entry points (the `genet` CLI, `genet_serve`, the
-// bench harnesses) parse one Options and hold one Session for the run.
+// bench harnesses) resolve one Options and hold one Session for the run.
 // Every sink is strictly observational: results are bit-identical with any
 // knob on or off, at any thread or worker count.
 
-/// Command-line flags by name, without the leading "--". A switch is on when
-/// present, whatever its value.
-using Flags = std::map<std::string, std::string>;
+/// The observability flags, declared once; every front end's flag table
+/// includes them.
+inline constexpr flags::Flag kFlags[] = {
+    flags::text("log-file", "", "JSONL run log", "GENET_LOG"),
+    flags::text("trace-out", "", "Chrome span trace at exit", "GENET_TRACE"),
+    flags::text("flight-out", "", "worst-k episodes, JSONL", "GENET_FLIGHT"),
+    flags::integer("flight-k", 1, 1 << 20, "8", "episodes kept",
+                   "GENET_FLIGHT_K"),
+    flags::text("health-out", "", "health watchdog JSONL (a run log wins)",
+                "GENET_HEALTH"),
+    flags::toggle("health-fail-fast", "watchdog on; abort on non-finite values",
+                  "GENET_HEALTH_FAIL_FAST"),
+    flags::integer("metrics-port", 0, 65535, nullptr,
+                   "Prometheus scrape port, 0 = any (default: off)",
+                   "GENET_METRICS_PORT"),
+    flags::text("metrics-port-file", "", "write the bound metrics port here"),
+    flags::text("metrics-out", "", "final metrics table ('-' = stdout)"),
+};
 
-/// One field per observability knob. Each is resolved on its own: the flag
-/// if given, else the environment variable, else the default.
+/// One field per observability knob.
 struct Options {
   std::string log_file;           ///< --log-file / GENET_LOG
   std::string trace_out;          ///< --trace-out / GENET_TRACE
@@ -35,21 +48,8 @@ struct Options {
   std::string metrics_out;        ///< --metrics-out ('-' = stdout)
 };
 
-/// Resolve every knob from `flags` and the environment through the strict
-/// netgym::parse_* helpers. Garbage or out-of-range values throw
-/// std::invalid_argument naming the flag or variable.
-Options parse(const Flags& flags);
-
-/// True when `name` is one of the flags parse() reads.
-bool is_flag(std::string_view name);
-
-/// True for the one observability flag that takes no value.
-inline bool is_switch(std::string_view name) {
-  return name == "health-fail-fast";
-}
-
-/// Usage text for the flags above, shared by every entry point's help.
-extern const char* const kUsage;
+/// The Options of a parsed table that includes kFlags.
+Options parse(const flags::Args& args);
 
 /// Installs every sink the Options name: the metrics endpoint, the run log
 /// (--log-file, else --health-out), the span tracer, the flight recorder and

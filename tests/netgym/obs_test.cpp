@@ -7,11 +7,16 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
+#include "netgym/flags.hpp"
 #include "netgym/flight.hpp"
 #include "netgym/health.hpp"
 #include "netgym/telemetry.hpp"
@@ -51,11 +56,16 @@ std::string slurp(const std::string& path) {
   return text.str();
 }
 
-/// The message of the std::invalid_argument `parse(flags)` throws.
-std::string parse_error(const obs::Flags& flags) {
+/// obs::Options from `tokens` parsed against the observability table.
+obs::Options parse(const std::vector<std::string>& tokens) {
+  return obs::parse(netgym::flags::Args({obs::kFlags}, tokens));
+}
+
+/// The message of the flags::Error parse(tokens) throws.
+std::string parse_error(const std::vector<std::string>& tokens) {
   try {
-    obs::parse(flags);
-  } catch (const std::invalid_argument& e) {
+    parse(tokens);
+  } catch (const netgym::flags::Error& e) {
     return e.what();
   }
   return "";
@@ -63,7 +73,7 @@ std::string parse_error(const obs::Flags& flags) {
 
 TEST(ObsOptions, DefaultsWhenNothingIsSet) {
   EnvGuard env;
-  const obs::Options o = obs::parse({});
+  const obs::Options o = parse({});
   EXPECT_TRUE(o.log_file.empty());
   EXPECT_TRUE(o.trace_out.empty());
   EXPECT_TRUE(o.flight_out.empty());
@@ -81,13 +91,13 @@ TEST(ObsOptions, EachKnobResolvesFlagThenEnvOnItsOwn) {
                 {"GENET_LOG", "env_log.jsonl"},
                 {"GENET_METRICS_PORT", "9100"}});
   // The path comes from the flag, the count from the env var.
-  obs::Options o = obs::parse({{"flight-out", "flag_flight.jsonl"}});
+  obs::Options o = parse({"--flight-out", "flag_flight.jsonl"});
   EXPECT_EQ(o.flight_out, "flag_flight.jsonl");
   EXPECT_EQ(o.flight_k, 2);
   EXPECT_EQ(o.log_file, "env_log.jsonl");
   EXPECT_EQ(o.metrics_port, 9100);
   // A flag beats its env var.
-  o = obs::parse({{"flight-k", "3"}, {"metrics-port", "0"}});
+  o = parse({"--flight-k", "3", "--metrics-port", "0"});
   EXPECT_EQ(o.flight_out, "env_flight.jsonl");
   EXPECT_EQ(o.flight_k, 3);
   EXPECT_EQ(o.metrics_port, 0);
@@ -96,12 +106,12 @@ TEST(ObsOptions, EachKnobResolvesFlagThenEnvOnItsOwn) {
 TEST(ObsOptions, FlightKFlagAndEnvShareOneRange) {
   {
     EnvGuard env;
-    EXPECT_NE(parse_error({{"flight-k", "0"}}).find("--flight-k"),
+    EXPECT_NE(parse_error({"--flight-k", "0"}).find("--flight-k"),
               std::string::npos);
-    EXPECT_NE(parse_error({{"flight-k", "-3"}}).find("out of range"),
+    EXPECT_NE(parse_error({"--flight-k", "-3"}).find("out of range"),
               std::string::npos);
-    EXPECT_EQ(obs::parse({{"flight-k", "1048576"}}).flight_k, 1 << 20);
-    EXPECT_NE(parse_error({{"flight-k", "1048577"}}), "");
+    EXPECT_EQ(parse({"--flight-k", "1048576"}).flight_k, 1 << 20);
+    EXPECT_NE(parse_error({"--flight-k", "1048577"}), "");
   }
   EnvGuard env({{"GENET_FLIGHT_K", "0"}});
   EXPECT_NE(parse_error({}).find("GENET_FLIGHT_K: value 0 out of range"),
@@ -116,27 +126,34 @@ TEST(ObsOptions, HealthFailFastIsStrictlyZeroOrOne) {
   }
   {
     EnvGuard env({{"GENET_HEALTH_FAIL_FAST", "0"}});
-    EXPECT_FALSE(obs::parse({}).health_fail_fast);
+    EXPECT_FALSE(parse({}).health_fail_fast);
   }
   {
     EnvGuard env({{"GENET_HEALTH_FAIL_FAST", "1"}});
-    EXPECT_TRUE(obs::parse({}).health_fail_fast);
+    EXPECT_TRUE(parse({}).health_fail_fast);
   }
   // The switch beats the env var.
   EnvGuard env({{"GENET_HEALTH_FAIL_FAST", "0"}});
-  EXPECT_TRUE(obs::parse({{"health-fail-fast", ""}}).health_fail_fast);
+  EXPECT_TRUE(parse({"--health-fail-fast"}).health_fail_fast);
 }
 
 TEST(ObsOptions, FlagNamesAndTheOneSwitch) {
+  const auto kind_of = [](std::string_view name) {
+    for (const netgym::flags::Flag& flag : obs::kFlags) {
+      if (flag.name == name) return std::optional(flag.kind);
+    }
+    return std::optional<netgym::flags::Kind>();
+  };
   for (const char* name :
        {"log-file", "trace-out", "flight-out", "flight-k", "health-out",
         "health-fail-fast", "metrics-port", "metrics-port-file",
         "metrics-out"}) {
-    EXPECT_TRUE(obs::is_flag(name)) << name;
+    EXPECT_TRUE(kind_of(name).has_value()) << name;
   }
-  EXPECT_FALSE(obs::is_flag("threads"));
-  EXPECT_TRUE(obs::is_switch("health-fail-fast"));
-  EXPECT_FALSE(obs::is_switch("health-out"));
+  EXPECT_EQ(std::size(obs::kFlags), 9U);
+  EXPECT_FALSE(kind_of("threads").has_value());
+  EXPECT_EQ(kind_of("health-fail-fast"), netgym::flags::Kind::kSwitch);
+  EXPECT_NE(kind_of("health-out"), netgym::flags::Kind::kSwitch);
 }
 
 // Moved from the watchdog's own env installer: GENET_HEALTH both enables the
@@ -145,7 +162,7 @@ TEST(ObsOptions, FlagNamesAndTheOneSwitch) {
 TEST(ObsSession, HealthEnvEnablesTheWatchdogAndItsSink) {
   {
     EnvGuard env;
-    obs::Session session(obs::parse({}));
+    obs::Session session(parse({}));
     EXPECT_FALSE(health::enabled());
     EXPECT_FALSE(tel::logging_enabled());
   }
@@ -153,7 +170,7 @@ TEST(ObsSession, HealthEnvEnablesTheWatchdogAndItsSink) {
   {
     EnvGuard env({{"GENET_HEALTH", path.c_str()},
                   {"GENET_HEALTH_FAIL_FAST", "1"}});
-    obs::Session session(obs::parse({}));
+    obs::Session session(parse({}));
     EXPECT_TRUE(health::enabled());
     EXPECT_TRUE(health::Watchdog::instance().options().fail_fast);
     EXPECT_TRUE(tel::logging_enabled());  // the env var also named the sink

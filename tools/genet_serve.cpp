@@ -8,87 +8,21 @@
 // protocol (serve/frame.hpp), coalesces concurrent requests into batched
 // forward passes, and hot-swaps the policy whenever a newer checkpoint
 // appears in --watch-dir -- a bad checkpoint is logged and skipped, the old
-// policy keeps serving. SIGINT/SIGTERM drain and exit 0.
+// policy keeps serving. SIGINT/SIGTERM drain and exit 0. The flags are
+// flags::tables::kServe plus the observability flags; --help lists them.
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <thread>
 
+#include "flag_tables.hpp"
+#include "netgym/flags.hpp"
 #include "netgym/obs.hpp"
-#include "netgym/parse.hpp"
 #include "serve/server.hpp"
 
 namespace {
-
-[[noreturn]] void usage(const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr, R"(usage: genet_serve [options]
-
-policy source (at least one required):
-  --checkpoint FILE   serve checkpoint to load at startup
-  --watch-dir DIR     directory to watch for hot swaps; the newest *.ckpt is
-                      loaded at startup (unless --checkpoint is given) and
-                      whenever a newer one appears. A checkpoint that fails
-                      to load is skipped and the old policy keeps serving.
-
-listening (default: ephemeral TCP port, printed at startup):
-  --port N            listen on 127.0.0.1:N (0 picks an ephemeral port)
-  --unix PATH         listen on a Unix socket instead of TCP
-  --port-file FILE    write the actual TCP port to FILE (for harnesses that
-                      start the daemon with --port 0)
-
-batching:
-  --shards N          batching worker shards (default 2)
-  --batch-max N       max requests fused into one forward pass (default 64)
-  --batch-window-us N how long a shard waits for stragglers (default 200)
-  --poll-ms N         watch-directory poll interval (default 500)
-
-lifecycle:
-  --max-seconds N     exit cleanly after N seconds (0 = run until signalled;
-                      used by the CI smoke job)
-  --metrics-interval-s N
-                      log a serve_metrics snapshot to the run log every N
-                      seconds (0 off)
-)");
-  std::fputs(netgym::obs::kUsage, stderr);
-  std::exit(2);
-}
-
-using Options = std::map<std::string, std::string>;
-
-Options parse(int argc, char** argv) {
-  Options options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) usage("expected --option");
-    const std::string key = argv[i] + 2;
-    if (netgym::obs::is_switch(key)) {
-      options.try_emplace(key);
-      continue;
-    }
-    if (i + 1 >= argc) usage(("missing value for --" + key).c_str());
-    options[key] = argv[++i];
-  }
-  return options;
-}
-
-std::string get(const Options& options, const std::string& key,
-                const std::string& fallback) {
-  const auto it = options.find(key);
-  return it == options.end() ? fallback : it->second;
-}
-
-int get_int(const Options& options, const std::string& key, int fallback,
-            std::int64_t lo, std::int64_t hi) {
-  const auto it = options.find(key);
-  if (it == options.end()) return fallback;
-  return static_cast<int>(
-      netgym::parse_i64_in_range(("--" + key).c_str(), it->second, lo, hi));
-}
 
 volatile std::sig_atomic_t g_signalled = 0;
 void on_signal(int) { g_signalled = 1; }
@@ -96,26 +30,27 @@ void on_signal(int) { g_signalled = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = parse(argc, argv);
+  namespace flags = netgym::flags;
+  const flags::Args args = flags::parse_or_exit(
+      {flags::tables::kServe, netgym::obs::kFlags}, "genet_serve", argc, argv);
   try {
     serve::ServerOptions sopt;
-    sopt.unix_path = get(options, "unix", "");
-    sopt.tcp_port = get_int(options, "port", 0, 0, 65535);
-    sopt.shards = get_int(options, "shards", 2, 1, 256);
-    sopt.batch_max = get_int(options, "batch-max", 64, 1, 65536);
-    sopt.batch_window_us = get_int(options, "batch-window-us", 200, 0,
-                                   10'000'000);
-    sopt.watch_dir = get(options, "watch-dir", "");
-    sopt.watch_poll_ms = get_int(options, "poll-ms", 500, 1, 3'600'000);
+    sopt.unix_path = args.text("unix");
+    sopt.tcp_port = static_cast<int>(args.integer("port"));
+    sopt.shards = static_cast<int>(args.integer("shards"));
+    sopt.batch_max = static_cast<int>(args.integer("batch-max"));
+    sopt.batch_window_us = static_cast<int>(args.integer("batch-window-us"));
+    sopt.watch_dir = args.text("watch-dir");
+    sopt.watch_poll_ms = static_cast<int>(args.integer("poll-ms"));
     sopt.metrics_interval_s =
-        get_int(options, "metrics-interval-s", 0, 0, 86'400);
-    const int max_seconds = get_int(options, "max-seconds", 0, 0, 86'400);
-    const std::string checkpoint = get(options, "checkpoint", "");
+        static_cast<int>(args.integer("metrics-interval-s"));
+    const int max_seconds = static_cast<int>(args.integer("max-seconds"));
+    const std::string& checkpoint = args.text("checkpoint");
     if (checkpoint.empty() && sopt.watch_dir.empty()) {
-      usage("need --checkpoint and/or --watch-dir");
+      flags::fail("genet_serve", "need --checkpoint and/or --watch-dir");
     }
-    if (!sopt.unix_path.empty() && options.count("port") != 0U) {
-      usage("--unix and --port are mutually exclusive");
+    if (!sopt.unix_path.empty() && args.given().count("port") != 0U) {
+      flags::fail("genet_serve", "--unix and --port are mutually exclusive");
     }
 
     // A client vanishing mid-response must never kill the daemon: writes use
@@ -124,7 +59,7 @@ int main(int argc, char** argv) {
 
     // Built before the server so its startup load lands in the run log, and
     // destroyed after it.
-    netgym::obs::Session session(netgym::obs::parse(options));
+    netgym::obs::Session session(netgym::obs::parse(args));
     serve::Server server(sopt);
     std::string loaded;
     if (!checkpoint.empty()) {
@@ -149,10 +84,10 @@ int main(int argc, char** argv) {
                 policy->action_count(), policy->task.empty() ? "" : ", task ",
                 policy->task.c_str());
     std::fflush(stdout);
-    if (options.count("port-file") != 0U) {
-      std::ofstream pf(options.at("port-file"));
+    if (args.has("port-file")) {
+      std::ofstream pf(args.text("port-file"));
       if (!pf) throw std::runtime_error("cannot write " +
-                                        options.at("port-file"));
+                                        args.text("port-file"));
       pf << server.port() << "\n";
     }
 
