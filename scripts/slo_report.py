@@ -16,7 +16,7 @@ error bound (see DESIGN.md S5h); `exact` rows were computed from sorted
 samples.
 
 Usage:
-    genet fleet --task lb --model M --json fleet.json
+    genet fleet --task lb --model policy.ckpt --json fleet.json
     python3 scripts/slo_report.py fleet.json [-o slo_report.md]
 
 With no -o the markdown goes to stdout. Pure stdlib, no dependencies.

@@ -2,14 +2,18 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "genet/curriculum.hpp"
+#include "netgym/checkpoint.hpp"
 
 namespace genet {
 
 namespace {
+
+namespace ckpt = netgym::checkpoint;
+
+constexpr const char* kValuesKey = "values";
 
 std::string default_directory() {
   if (const char* dir = std::getenv("GENET_MODEL_DIR")) return dir;
@@ -41,35 +45,21 @@ bool ModelZoo::contains(const std::string& key) const {
   return std::filesystem::exists(path_for(key));
 }
 
-void save_params(const std::string& path, const std::vector<double>& params) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out.precision(17);
-  out << params.size() << "\n";
-  for (double p : params) out << p << "\n";
-}
-
-std::vector<double> load_params(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::size_t n = 0;
-  in >> n;
-  std::vector<double> params(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(in >> params[i])) {
-      throw std::runtime_error("truncated model file " + path);
-    }
-  }
-  return params;
-}
-
 void ModelZoo::put(const std::string& key, const std::vector<double>& params) {
   std::filesystem::create_directories(directory_);
-  save_params(path_for(key), params);
+  ckpt::Snapshot snap;
+  snap.put_doubles(kValuesKey, params);
+  ckpt::write_file(snap, path_for(key));
 }
 
 std::vector<double> ModelZoo::get(const std::string& key) const {
-  return load_params(path_for(key));
+  const std::string path = path_for(key);
+  const ckpt::Snapshot snap = ckpt::read_file(path);
+  if (!snap.has(kValuesKey)) {
+    throw ckpt::CheckpointError("checkpoint: '" + path +
+                                "' is not a model zoo entry");
+  }
+  return snap.get_doubles(kValuesKey);
 }
 
 std::vector<double> ModelZoo::get_or_train(

@@ -7,20 +7,20 @@
 
 namespace genet {
 
-/// The text format every trained policy's parameters are stored in: the
-/// count, then one value per line at 17 significant digits (a bit-exact
-/// round trip). Both throw std::runtime_error naming `path` on an I/O error
-/// or a truncated file.
-void save_params(const std::string& path, const std::vector<double>& params);
-std::vector<double> load_params(const std::string& path);
-
 /// Tiny on-disk cache of trained policy parameters, shared by the benchmark
 /// harnesses so that, e.g., the Genet-trained ABR policy used by Fig. 9 is
 /// trained once and reused by Figs. 10, 13, 15 and 17. Keys are canonical
-/// strings (task + method + seed + budget); values are flat parameter
-/// vectors. The directory defaults to ./genet_models and can be overridden
-/// with the GENET_MODEL_DIR environment variable. Training is deterministic
-/// from the seed, so a cold cache reproduces identical parameters.
+/// strings (task + method + seed + budget); values are flat vectors (policy
+/// parameters, or a harness's cached curve or scores). The directory
+/// defaults to ./genet_models and can be overridden with the GENET_MODEL_DIR
+/// environment variable. Training is deterministic from the seed, so a cold
+/// cache reproduces identical parameters.
+///
+/// Each entry is a `<key>.model` checkpoint file (netgym/checkpoint.hpp:
+/// atomic rename, CRC, exact double bits) holding one `values` vector, so a
+/// cut or corrupt entry throws a CheckpointError naming its path instead of
+/// loading. A cache written by a build that stored entries as text fails the
+/// same way: delete the cache directory and the entries are retrained.
 class ModelZoo {
  public:
   ModelZoo();

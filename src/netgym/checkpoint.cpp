@@ -74,11 +74,10 @@ void append_hex_bytes(std::string& out, std::string_view bytes) {
 
 std::string parse_hex_bytes(std::string_view hex, std::size_t len,
                             const std::string& key) {
-  if (hex.size() != 2 * len) {
+  if (hex.size() % 2 != 0 || hex.size() / 2 != len) {  // 2 * len may wrap
     throw CheckpointError("checkpoint: key '" + key + "': string length " +
-                          std::to_string(len) + " needs " +
-                          std::to_string(2 * len) + " hex digits, got " +
-                          std::to_string(hex.size()));
+                          std::to_string(len) + " does not match " +
+                          std::to_string(hex.size()) + " hex digits");
   }
   auto nibble = [&](char c) -> unsigned {
     if (c >= '0' && c <= '9') return static_cast<unsigned>(c - '0');

@@ -42,7 +42,7 @@ struct PolicyVersion {
 
 /// Serve-checkpoint convention: the policy MLP under "policy/" (the standard
 /// nn::Mlp save_state layout: sizes, activation, exact param bit patterns)
-/// plus an optional "meta/task" provenance string. `genet export` writes
+/// plus an optional "meta/task" provenance string. `genet train --out` writes
 /// this; tests and the load bench write it directly.
 void write_policy_checkpoint(const rl::MlpPolicy& policy,
                              const std::string& task, const std::string& path);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+
+#include "netgym/checkpoint.hpp"
 
 namespace {
 
@@ -59,6 +65,59 @@ TEST_F(ZooTest, EmptyParameterVectorRoundTrips) {
   ModelZoo zoo(dir_.string());
   zoo.put("empty", {});
   EXPECT_TRUE(zoo.get("empty").empty());
+}
+
+TEST_F(ZooTest, SpecialDoublesRoundTripBitForBit) {
+  ModelZoo zoo(dir_.string());
+  const std::vector<double> params{
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::bit_cast<double>(std::uint64_t{0x7ff8'0000'0000'1234})};
+  zoo.put("special", params);
+  const std::vector<double> back = zoo.get("special");
+  ASSERT_EQ(back.size(), params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+              std::bit_cast<std::uint64_t>(params[i]))
+        << "value " << i;
+  }
+}
+
+// A cut entry (a run killed between open and first write) and an entry in
+// any other format must fail loudly, naming the file -- never load as data.
+TEST_F(ZooTest, DamagedEntriesThrowNamingThePath) {
+  ModelZoo zoo(dir_.string());
+  std::filesystem::create_directories(dir_);
+  const std::pair<const char*, const char*> entries[] = {
+      {"empty", ""}, {"text", "3\n1\n2\n3\n"}};
+  for (const auto& [key, contents] : entries) {
+    const std::string path = (dir_ / (std::string(key) + ".model")).string();
+    std::ofstream(path) << contents;
+    ASSERT_TRUE(zoo.contains(key));
+    try {
+      zoo.get(key);
+      ADD_FAILURE() << key << " entry loaded";
+    } catch (const netgym::checkpoint::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// put goes through the checkpoint writer: a CRC-checked file, renamed into
+// place, with no `.tmp` left beside it.
+TEST_F(ZooTest, PutWritesACheckpointAndLeavesNoTempFile) {
+  ModelZoo zoo(dir_.string());
+  zoo.put("a", {1.0, 2.0});
+  zoo.put("a", {3.0});
+  EXPECT_EQ(netgym::checkpoint::read_file((dir_ / "a.model").string())
+                .get_doubles("values"),
+            std::vector<double>{3.0});
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().extension(), ".model") << entry.path();
+  }
 }
 
 TEST_F(ZooTest, EnvironmentVariableOverridesDirectory) {

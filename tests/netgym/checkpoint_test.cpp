@@ -151,6 +151,11 @@ TEST(Snapshot, DecodeRejectsMalformedPayloads) {
                CheckpointError);  // count mismatch
   EXPECT_THROW(Snapshot::decode("k iv 1 1 2\n"), CheckpointError);
   EXPECT_THROW(Snapshot::decode("k s 3 61\n"), CheckpointError);  // short str
+  // Lengths whose double wraps to the hex digit count: no 2^63-byte reserve.
+  EXPECT_THROW(Snapshot::decode("k s 9223372036854775808\n"),
+               CheckpointError);
+  EXPECT_THROW(Snapshot::decode("k s 9223372036854775809 61\n"),
+               CheckpointError);
   EXPECT_THROW(Snapshot::decode("k\n"), CheckpointError);
 }
 

@@ -172,8 +172,7 @@ std::vector<std::pair<std::string, std::vector<flags::Flag>>> front_ends() {
   std::vector<std::pair<std::string, std::vector<flags::Flag>>> out;
   for (const auto& [name, command] :
        {std::pair<const char*, Part>{"train", t::kTrain}, {"eval", t::kEval},
-        {"search", t::kSearch}, {"trace", t::kTrace}, {"export", t::kExport},
-        {"fleet", t::kFleet}}) {
+        {"search", t::kSearch}, {"trace", t::kTrace}, {"fleet", t::kFleet}}) {
     out.emplace_back(std::string("genet ") + name,
                      join({command, t::kCliShared, netgym::obs::kFlags}));
   }

@@ -24,14 +24,15 @@ inline constexpr Flag kTask =
 inline constexpr Flag kSpace =
     integer("space", 1, 3, "3", "environment ranges RL1, RL2 or RL3");
 inline constexpr Flag kSeed = integer("seed", 0, kInt64Max, "1", "RNG seed");
-inline constexpr Flag kModel = text("model", nullptr, "model file (required)");
+inline constexpr Flag kModel =
+    text("model", nullptr, "policy checkpoint (required)");
 inline constexpr Flag kBaseline =
     text("baseline", nullptr, "rule-based baseline (default: task's first)");
 
 inline constexpr Flag kTrain[] = {
     kTask, kSpace,
     choice("method", "rl|genet|cl1|cl2|cl3|ensemble", "genet", "curriculum"),
-    text("out", nullptr, "model file to write (required)"),
+    text("out", nullptr, "policy checkpoint to write (required)"),
     kSeed,
     integer("iters", 1, kIntMax, "900", "training iterations in all"),
     integer("rounds", 1, kIntMax, "9", "curriculum rounds"),
@@ -74,15 +75,8 @@ inline constexpr Flag kTrace[] = {
     integer("index", 0, kIntMax, "0", "trace of a recorded set"),
 };
 
-inline constexpr Flag kExport[] = {
-    kTask, kSpace, kModel,
-    text("out", nullptr, "serve checkpoint to write (required)"),
-};
-
 inline constexpr Flag kFleet[] = {
-    kTask,
-    text("checkpoint", nullptr, "serve checkpoint to replay"),
-    text("model", nullptr, "model file (unless --checkpoint)"),
+    kTask, kModel,
     integer("sessions", 1, kInt64Max, "100000", "sessions in the mix"),
     real("trace-prob", 0, 1, "0.5", "recorded-trace share of trace scenarios",
          "GENET_FLEET_TRACE_PROB"),

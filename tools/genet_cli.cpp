@@ -1,18 +1,20 @@
 // genet — command-line frontend for the library.
 //
 //   genet train  --task abr --method genet --baseline mpc --iters 3000
-//                --seed 1 --out policy.model
-//   genet eval   --task abr --model policy.model --envs 100
-//   genet eval   --task cc  --model policy.model --trace-set cellular
-//   genet search --task abr --model policy.model --baseline mpc --trials 15
+//                --seed 1 --out policy.ckpt
+//   genet eval   --task abr --model policy.ckpt --envs 100
+//   genet eval   --task cc  --model policy.ckpt --trace-set cellular
+//   genet search --task abr --model policy.ckpt --baseline mpc --trials 15
 //   genet trace  --kind abr --duration 200 --out link.trace
-//   genet export --task abr --model policy.model --out policy.ckpt
+//   genet fleet  --task abr --model policy.ckpt --json fleet.json
 //
 // `train` supports methods rl (traditional, Algorithm 1), genet
 // (Algorithm 2), cl1/cl2/cl3 (the alternative curricula of S5.5) and
 // ensemble (footnote 6). `eval` reports the greedy policy's mean reward on
 // synthetic environments or on one of the built-in trace sets. `search`
 // runs one round of the sequencing module and prints every BO trial.
+// `train --out` writes a policy checkpoint (serve/policy_store.hpp) that
+// `eval`, `search`, `fleet` and `genet_serve` read as it is.
 // Each command accepts exactly the flags flag_tables.hpp declares for it;
 // `genet <command> --help` lists them.
 
@@ -33,7 +35,6 @@
 #include "fleet/report.hpp"
 #include "genet/adapter.hpp"
 #include "genet/curriculum.hpp"
-#include "genet/zoo.hpp"
 #include "netgym/checkpoint.hpp"
 #include "netgym/flags.hpp"
 #include "netgym/obs.hpp"
@@ -62,6 +63,20 @@ traces::TraceSet trace_set_for(const std::string& name) {
 std::unique_ptr<genet::TaskAdapter> adapter_of(const flags::Args& args) {
   return genet::make_adapter(args.text("task"),
                              static_cast<int>(args.integer("space")));
+}
+
+/// The policy in --model, a checkpoint written by `genet train --out`. One
+/// written for another task fails naming both tasks.
+std::unique_ptr<rl::MlpPolicy> model_of(const flags::Args& args,
+                                        const genet::TaskAdapter& adapter) {
+  const std::string& path = args.text("model");
+  const serve::PolicyVersion version = serve::load_policy_checkpoint(path);
+  if (!version.task.empty() && version.task != adapter.name()) {
+    throw std::invalid_argument(path + ": checkpoint was written for task '" +
+                                version.task + "', not '" + adapter.name() +
+                                "'");
+  }
+  return adapter.make_policy(version.params);
 }
 
 std::string baseline_of(const flags::Args& args,
@@ -194,15 +209,17 @@ int cmd_train(const flags::Args& args) {
                 "death\n",
                 static_cast<long long>(coordinator->reassignments()));
   }
-  genet::save_params(out, params);
+  const auto parent = std::filesystem::path(out).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
+  serve::write_policy_checkpoint(*adapter->make_policy(params),
+                                 adapter->name(), out);
   std::printf("saved %zu parameters to %s\n", params.size(), out.c_str());
   return 0;
 }
 
 int cmd_eval(const flags::Args& args) {
   auto adapter = adapter_of(args);
-  const auto policy =
-      adapter->make_policy(genet::load_params(args.text("model")));
+  const auto policy = model_of(args, *adapter);
 
   if (args.has("trace-set")) {
     const traces::TraceSet set = trace_set_for(args.text("trace-set"));
@@ -236,11 +253,10 @@ int cmd_eval(const flags::Args& args) {
 
 int cmd_search(const flags::Args& args) {
   auto adapter = adapter_of(args);
-  const std::string& model = args.text("model");
   const std::string baseline = baseline_of(args, *adapter);
   const int trials = static_cast<int>(args.integer("trials"));
   const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
-  const auto policy = adapter->make_policy(genet::load_params(model));
+  const auto policy = model_of(args, *adapter);
 
   genet::SearchOptions search;
   search.bo_trials = trials;
@@ -288,37 +304,10 @@ int cmd_trace(const flags::Args& args) {
   return 0;
 }
 
-int cmd_export(const flags::Args& args) {
-  auto adapter = adapter_of(args);
-  const std::string& model = args.text("model");
-  const std::string& out = args.text("out");
-  const auto parent = std::filesystem::path(out).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  const auto policy = adapter->make_policy(genet::load_params(model));
-  serve::write_policy_checkpoint(*policy, adapter->name(), out);
-  std::printf("exported %s policy (%zu parameters) to %s\n",
-              adapter->name().c_str(), policy->snapshot().size(), out.c_str());
-  return 0;
-}
-
 int cmd_fleet(const flags::Args& args) {
   const std::string& task = args.text("task");
-  // Validates the task name before heavy setup.
   const auto adapter = genet::make_adapter(task, 1);
-
-  std::unique_ptr<rl::MlpPolicy> policy;
-  if (args.has("checkpoint")) {
-    const serve::PolicyVersion version =
-        serve::load_policy_checkpoint(args.text("checkpoint"));
-    if (!version.task.empty() && version.task != task) {
-      throw std::invalid_argument("checkpoint was exported for task '" +
-                                  version.task + "', not '" + task + "'");
-    }
-    policy = version.instantiate();
-  } else {
-    policy = adapter->make_policy(genet::load_params(args.text("model")));
-  }
-  policy->set_greedy(true);
+  const auto policy = model_of(args, *adapter);
 
   fleet::FleetOptions fopts;
   fopts.seed = static_cast<std::uint64_t>(args.integer("seed"));
@@ -366,7 +355,6 @@ constexpr Command kCommands[] = {
     {"eval", "cmd.eval", flags::tables::kEval, cmd_eval},
     {"search", "cmd.search", flags::tables::kSearch, cmd_search},
     {"trace", "cmd.trace", flags::tables::kTrace, cmd_trace},
-    {"export", "cmd.export", flags::tables::kExport, cmd_export},
     {"fleet", "cmd.fleet", flags::tables::kFleet, cmd_fleet},
 };
 

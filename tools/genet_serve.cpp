@@ -3,12 +3,12 @@
 //   genet_serve --checkpoint policy.ckpt --port 7470
 //   genet_serve --watch-dir ckpts/ --unix /tmp/genet.sock --shards 4
 //
-// Loads a policy from a serve checkpoint (written by `genet export` or the
-// training loop), answers action requests over a length-prefixed binary
-// protocol (serve/frame.hpp), coalesces concurrent requests into batched
-// forward passes, and hot-swaps the policy whenever a newer checkpoint
-// appears in --watch-dir -- a bad checkpoint is logged and skipped, the old
-// policy keeps serving. SIGINT/SIGTERM drain and exit 0. The flags are
+// Loads a policy from a serve checkpoint (written by `genet train --out`),
+// answers action requests over a length-prefixed binary protocol
+// (serve/frame.hpp), coalesces concurrent requests into batched forward
+// passes, and hot-swaps the policy whenever a newer checkpoint appears in
+// --watch-dir -- a bad checkpoint is logged and skipped, the old policy keeps
+// serving. SIGINT/SIGTERM drain and exit 0. The flags are
 // flags::tables::kServe plus the observability flags; --help lists them.
 
 #include <csignal>
