@@ -1,6 +1,7 @@
 #include "netgym/exposition.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -139,6 +140,9 @@ void MetricsEndpoint::start(int port) {
     ::close(fd);
     throw std::runtime_error("metrics endpoint: pipe() failed");
   }
+  // A client that resets between poll() and accept() must not block the
+  // loop (and with it stop()) in accept().
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
   fd_ = fd;
   stop_fd_ = pipe_fds[1];
   port_ = ntohs(bound.sin_port);
@@ -163,18 +167,28 @@ void MetricsEndpoint::stop() {
 }
 
 void MetricsEndpoint::serve_loop(int wake_fd) {
+  bool paused = false;
   for (;;) {
+    // After an accept() error (say, out of fds) the listener sits out one
+    // 100 ms poll: the error is counted and retried, never spun on.
     pollfd fds[2];
-    fds[0] = {fd_, POLLIN, 0};
+    fds[0] = {paused ? -1 : fd_, POLLIN, 0};
     fds[1] = {wake_fd, POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
+    if (::poll(fds, 2, paused ? 100 : -1) < 0) {
       if (errno == EINTR) continue;
       return;
     }
+    paused = false;
     if ((fds[1].revents & POLLIN) != 0) return;
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int conn = ::accept(fd_, nullptr, nullptr);
-    if (conn < 0) continue;
+    if (conn < 0) {
+      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        Registry::instance().counter("metrics.accept_errors").add();
+        paused = true;
+      }
+      continue;
+    }
     // Bound every read/write on the connection: a client that connects and
     // then stalls must not wedge the single serving thread (and with it
     // stop(), which joins this thread) -- it gets timed out and dropped.

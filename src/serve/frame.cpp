@@ -155,7 +155,7 @@ void encode_close_ok(std::string& out, std::uint64_t session_id) {
 
 void encode_error(std::string& out, std::string_view message) {
   // Clip so an error frame always fits the frame ceiling.
-  if (message.size() > 1024) message = message.substr(0, 1024);
+  message = message.substr(0, kMaxErrorMessageBytes);
   std::size_t at = 0;
   begin_frame(out, at, MsgType::kError);
   put_u32(out, static_cast<std::uint32_t>(message.size()));
@@ -284,6 +284,10 @@ std::string decode_error(std::string_view body) {
   const std::uint32_t n = r.u32();
   if (n != r.remaining()) {
     throw ProtocolError("error frame: message length mismatch");
+  }
+  if (n > kMaxErrorMessageBytes) {
+    throw ProtocolError("error frame: message longer than " +
+                        std::to_string(kMaxErrorMessageBytes) + " bytes");
   }
   const std::string_view text = r.bytes(n);
   r.expect_end("error");

@@ -42,6 +42,10 @@ inline constexpr std::uint32_t kMaxFrameBytes = 128u * 1024;
 /// FrameReader with this larger cap.
 inline constexpr std::uint32_t kMaxDistFrameBytes = 8u * 1024 * 1024;
 
+/// Longest error-frame message: encode_error clips to it and decode_error
+/// rejects a longer one, so every accepted body re-encodes to itself.
+inline constexpr std::size_t kMaxErrorMessageBytes = 1024;
+
 /// Bumped on any incompatible wire change; exchanged in hello.
 inline constexpr std::uint8_t kProtocolVersion = 1;
 

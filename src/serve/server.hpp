@@ -7,9 +7,10 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "serve/frame.hpp"
@@ -18,31 +19,26 @@
 namespace serve {
 
 // The serving daemon's engine (DESIGN.md S5g): a socket front end that
-// coalesces concurrent action requests into batched policy inference.
+// coalesces concurrent action requests into batched policy inference. A
+// running Server holds 1 + shards threads, however many clients it serves:
 //
-// Thread shape:
-//
-//   accept thread --> one reader thread per connection
-//                         | decode frames, route by hash(session_id)
+//   one I/O thread   poll()s the listener, every connection and a wake pipe:
+//                    accepts, reads and decodes frames, answers hello, routes
+//                    acts/closes by hash(session_id), flushes what a shard
+//                    could not send, and runs the watch and export ticks
 //                         v
-//                 N batching shards (one worker thread each)
-//                         | woken once per batch: by the first request into
-//                         | an empty queue, then by the batch_max-th; drain
-//                         | up to batch_max requests, waiting at most
-//                         | batch_window_us for stragglers, then one
-//                         | rl::MlpPolicy::act_batch forward
-//                         v
-//                 responses appended in arrival order to one buffer per
-//                 connection, then one write per connection per batch
-//   + a watcher thread polling the checkpoint directory for hot swaps
-//   + an optional telemetry exporter emitting periodic registry snapshots
+//   N shard workers  woken once per batch (by the first request into an
+//                    empty queue, then by the batch_max-th); drain up to
+//                    batch_max requests, waiting at most batch_window_us for
+//                    stragglers; one rl::MlpPolicy::act_batch forward; answer
+//                    in arrival order into one outbox per connection, handed
+//                    off with one non-blocking send, the rest queued on the
+//                    connection's bounded outbound buffer
 //
-// Each shard owns the per-session state of the sessions that hash to it and
-// a private executable copy of the policy (the MLP's forward scratch is
-// mutable, so sharing one network across shards would race); a hot swap just
-// bumps the PolicyStore version and every shard rebuilds its copy before its
-// next batch. Responses carry the version that computed them, which is how
-// the load bench proves a mid-flight swap without dropped requests.
+// Each shard owns the sessions that hash to it and a private policy copy (the
+// MLP's forward scratch is mutable); a hot swap bumps the PolicyStore version
+// and each shard rebuilds its copy before its next batch. Responses carry the
+// version that computed them, so the load bench can prove a mid-flight swap.
 
 struct ServerOptions {
   /// Serve on this Unix socket path when non-empty; otherwise on
@@ -66,14 +62,18 @@ struct ServerOptions {
 
 class Server {
  public:
+  /// A connection whose unsent responses pass this many bytes is a reader
+  /// too slow to serve: it is closed and counted in serve.evicted_connections.
+  static constexpr std::size_t kMaxOutboundBytes = 1u << 20;
+
   explicit Server(ServerOptions options);
   ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Load checkpoints into this before start(); the watcher thread keeps
-  /// refreshing it afterwards.
+  /// Load checkpoints into this before start(); the I/O thread's watch tick
+  /// keeps refreshing it afterwards.
   PolicyStore& store() { return store_; }
 
   /// Bind, listen, and spawn all threads. Requires a loaded policy; throws
@@ -92,79 +92,66 @@ class Server {
  private:
   struct Connection {
     ~Connection();  ///< closes the fd: destroyed only when no thread can write
-
+    /// Sends `bytes` behind any queued ones without blocking, queueing what
+    /// the kernel does not take; true when the queue was empty (so the I/O
+    /// thread must start polling for POLLOUT).
+    bool send(std::string_view bytes);
+    void flush();         ///< I/O thread, on POLLOUT: one send from the queue
+    void close_locked();  ///< shut the socket down, drop later responses
     int fd = -1;
-    std::mutex write_mu;
-    std::atomic<bool> open{true};
+    FrameReader reader;  ///< I/O thread only
+    std::mutex mu;       ///< guards `out`, `closed` writes and every send
+    std::string out;     ///< bytes the kernel has not taken yet
+    std::atomic<bool> closed{false};
   };
 
-  /// One queued act (or session-close) request, routed to its shard.
+  /// One queued request, routed to its shard. kGone follows a closed
+  /// connection's last request on every shard and ends its sessions.
   struct Pending {
+    enum class Kind : std::uint8_t { kAct, kClose, kGone };
     std::shared_ptr<Connection> conn;
+    Kind kind = Kind::kAct;
     std::uint64_t session_id = 0;
-    std::vector<double> obs;
-    bool close_session = false;
-    std::chrono::steady_clock::time_point arrival;
-  };
-
-  struct SessionState {
-    std::int64_t requests = 0;
-    int last_action = 0;
-    std::uint32_t last_version = 0;
+    std::vector<double> obs{};
+    std::chrono::steady_clock::time_point arrival{};
   };
 
   struct Shard {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Pending> queue;
-    std::unordered_map<std::uint64_t, SessionState> sessions;
+    /// Live sessions by (connection, id): a session belongs to its connection.
+    std::set<std::pair<std::uintptr_t, std::uint64_t>> sessions;
     std::thread worker;
   };
 
-  void accept_loop();
-  void connection_loop(std::shared_ptr<Connection> conn);
+  void io_loop();
   void shard_loop(Shard& shard);
-  void watch_loop();
-  void export_loop();
+
+  /// One recv() from a readable connection, then dispatch its complete
+  /// frames; false when the peer hung up or broke the protocol.
+  bool read_from(const std::shared_ptr<Connection>& conn);
 
   /// Dispatch one decoded frame from `conn`; throws ProtocolError on a
-  /// malformed body (the reader closes the connection).
+  /// malformed body (the I/O thread closes the connection).
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     std::string_view body);
 
-  void enqueue(Pending&& item);
-
-  /// Serialized write of `bytes` to a connection (MSG_NOSIGNAL, loops over
-  /// short sends); marks the connection dead on any error instead of
-  /// raising, so a client that disconnected mid-request is just dropped.
-  static void send_all(Connection& conn, std::string_view bytes);
+  void enqueue(Shard& shard, Pending&& item);
+  void wake();  ///< wakes the I/O thread's poll()
 
   ServerOptions opt_;
   PolicyStore store_;
 
   int listen_fd_ = -1;
+  int wake_fds_[2] = {-1, -1};  ///< self-pipe: [0] polled, [1] for wake()
   int port_ = 0;
   std::mutex stop_mu_;  ///< serializes stop() against concurrent callers
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
 
-  std::thread accept_thread_;
-  std::thread watch_thread_;
-  std::thread export_thread_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Reader threads are detached and self-unregistering: a disconnecting
-  // client frees its slot (and, once the last shard response drops its
-  // shared_ptr, its fd) immediately, so a long-lived daemon does not
-  // accumulate dead sockets. stop() waits for live_conns_ to reach zero.
-  std::mutex conns_mu_;
-  std::condition_variable conns_cv_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::atomic<int> live_conns_{0};
-
-  // Sleep/wake for the watcher and exporter loops (fast shutdown).
-  std::mutex tick_mu_;
-  std::condition_variable tick_cv_;
+  std::thread io_thread_;
 };
 
 }  // namespace serve

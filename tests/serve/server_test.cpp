@@ -7,16 +7,25 @@
 // and the old policy keeps serving -- and the per-phase latency attribution
 // must partition every request's end-to-end time. A batch answers in arrival
 // order with one write per connection, and a full batch closes the batching
-// window early.
+// window early. A reader too slow to take its answers is evicted without
+// stalling its shard, a dropped connection ends its sessions, and the server
+// runs 1 + shards threads however many clients it serves.
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -382,6 +391,135 @@ TEST(ServeServer, PhasesPartitionEveryRequest) {
   EXPECT_GT(total.second, 0.0);
   EXPECT_NEAR(parts, total.second, 0.02 * total.second)
       << "phase sums no longer partition the end-to-end time";
+}
+
+TEST(ServeServer, SlowReaderDoesNotStallItsShard) {
+  // A client that pipelines acts and never reads fills its socket, then its
+  // outbound buffer. The one shard must keep serving everyone else, and the
+  // slow client is evicted once its buffer passes the bound.
+  const fs::path dir = test_dir("slow_reader");
+  serve::ServerOptions opt;
+  opt.shards = 1;
+  auto server = start_server(write_policy(dir / "p.ckpt", 1), opt);
+  const std::int64_t evicted_before =
+      counter_value("serve.evicted_connections");
+
+  const int slow = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(slow, 0);
+  const int small = 4096;
+  ::setsockopt(slow, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  const timeval io_timeout{5, 0};
+  ::setsockopt(slow, SOL_SOCKET, SO_SNDTIMEO, &io_timeout, sizeof(io_timeout));
+  ::setsockopt(slow, SOL_SOCKET, SO_RCVTIMEO, &io_timeout, sizeof(io_timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server->port()));
+  ASSERT_EQ(::connect(slow, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  // Pipeline bursts, each once the shard has answered all but the last
+  // burst, so the queue stays short and its depth cannot be what delays the
+  // other client below.
+  constexpr int kBurst = 1000;
+  std::string burst;
+  const std::vector<double> obs = make_obs(9);
+  for (std::uint64_t sid = 0; sid < kBurst; ++sid) {
+    serve::encode_act(burst, sid, obs.data(), obs.size());
+  }
+  const std::int64_t answered_before = counter_value("serve.requests");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::int64_t sent = 0;
+  while (counter_value("serve.evicted_connections") == evicted_before &&
+         std::chrono::steady_clock::now() < deadline && sent < 1000000) {
+    if (::send(slow, burst.data(), burst.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(burst.size())) {
+      break;
+    }
+    sent += kBurst;
+    while (counter_value("serve.requests") - answered_before < sent - kBurst &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  EXPECT_GT(counter_value("serve.evicted_connections"), evicted_before)
+      << "no eviction after " << sent << " pipelined acts";
+
+  serve::Client other = serve::Client::connect_tcp(server->port());
+  ::setsockopt(other.fd(), SOL_SOCKET, SO_RCVTIMEO, &io_timeout,
+               sizeof(io_timeout));
+  const auto asked = std::chrono::steady_clock::now();
+  try {
+    EXPECT_GE(other.act(1, obs.data(), obs.size()).action, 0);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "the other client's act failed: " << e.what();
+  }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          asked)
+                .count(),
+            1.0)
+      << "the slow reader stalled its shard";
+
+  // The evicted client reads what the kernel already held, then the end of
+  // the stream (or a reset, when some of its requests were still unread).
+  char buf[64 * 1024];
+  ssize_t got = 0;
+  while ((got = ::recv(slow, buf, sizeof(buf), 0)) > 0) {
+  }
+  EXPECT_TRUE(got == 0 || errno == ECONNRESET)
+      << "the slow client was never hung up on: " << std::strerror(errno);
+  ::close(slow);
+}
+
+TEST(ServeServer, DisconnectEndsItsSessions) {
+  const fs::path dir = test_dir("disconnect_sessions");
+  auto server = start_server(write_policy(dir / "p.ckpt", 1));
+  netgym::telemetry::Gauge& sessions =
+      netgym::telemetry::Registry::instance().gauge("serve.sessions");
+  const double sessions_before = sessions.value();
+  {
+    serve::Client client = serve::Client::connect_tcp(server->port());
+    for (std::uint64_t sid = 0; sid < 50; ++sid) {
+      const std::vector<double> obs = make_obs(sid);
+      client.act(sid, obs.data(), obs.size());
+    }
+    EXPECT_EQ(sessions.value(), sessions_before + 50);
+  }  // gone without closing any session
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (sessions.value() != sessions_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(sessions.value(), sessions_before)
+      << "a dropped connection leaked its sessions";
+}
+
+/// Threads of this process.
+std::size_t thread_count() {
+  return static_cast<std::size_t>(std::distance(
+      fs::directory_iterator("/proc/self/task"), fs::directory_iterator()));
+}
+
+TEST(ServeServer, RunsOnePlusShardsThreadsWhateverItServes) {
+  const fs::path dir = test_dir("threads");
+  write_policy(dir / "policy_v1.ckpt", 1);
+  serve::ServerOptions opt;
+  opt.shards = 3;
+  opt.watch_dir = dir.string();
+  opt.watch_poll_ms = 10;
+  opt.metrics_interval_s = 1;
+  const std::size_t before = thread_count();
+  auto server = std::make_unique<serve::Server>(opt);
+  server->store().load_latest(dir.string());
+  server->start();
+  std::vector<serve::Client> clients;
+  for (int c = 0; c < 5; ++c) {
+    clients.push_back(serve::Client::connect_tcp(server->port()));
+    EXPECT_EQ(clients.back().hello().policy_version, 1u);
+  }
+  EXPECT_EQ(thread_count(), before + 1 + 3);
 }
 
 TEST(ServeServer, HotSwapChangesServedVersionWithZeroFailures) {
