@@ -202,5 +202,5 @@ int main(int argc, char** argv) {
   bench::print_row("reward", curve, 8, 3);
   std::printf("(S4.2: the original distribution keeps 0.7^9 ~ 4%% of the "
               "mass, so mild forgetting is expected but not collapse)\n");
-  return 0;
+  return bench::finish();
 }

@@ -63,5 +63,5 @@ int main(int argc, char** argv) {
   run_task("cc", "bbr");
   run_task("abr", "mpc");
   run_task("lb", "llf");
-  return 0;
+  return bench::finish();
 }

@@ -106,5 +106,5 @@ int main(int argc, char** argv) {
                       mean_per_trace(*adapter, *eth_policy, set),
                       mean_per_trace(*adapter, bbr, set)});
   }
-  return 0;
+  return bench::finish();
 }

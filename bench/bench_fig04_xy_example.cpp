@@ -116,5 +116,5 @@ int main(int argc, char** argv) {
     bench::print_row("  reward on Y (was " + std::to_string(y_before) + ")",
                      {eval_on(trainer->policy(), config_y())});
   }
-  return 0;
+  return bench::finish();
 }

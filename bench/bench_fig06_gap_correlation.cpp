@@ -91,5 +91,5 @@ int main(int argc, char** argv) {
       "r=0.49 for gap-to-optimum");
   run_panel("abr", "mpc", 800, 24, 60);
   run_panel("cc", "bbr", 250, 24, 40);
-  return 0;
+  return bench::finish();
 }

@@ -74,5 +74,5 @@ int main(int argc, char** argv) {
   run_task("cc", "bbr");
   run_task("abr", "mpc");
   run_task("lb", "llf");
-  return 0;
+  return bench::finish();
 }

@@ -76,5 +76,5 @@ int main(int argc, char** argv) {
       bench::print_row("  " + entry.name, rewards);
     }
   }
-  return 0;
+  return bench::finish();
 }

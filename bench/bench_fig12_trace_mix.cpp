@@ -85,5 +85,5 @@ int main(int argc, char** argv) {
            "bbr");
   run_task("abr", {traces::TraceSet::kFcc, traces::TraceSet::kNorway},
            "mpc");
-  return 0;
+  return bench::finish();
 }

@@ -62,5 +62,5 @@ int main(int argc, char** argv) {
   run_panel("cc", "bbr", traces::TraceSet::kEthernet);
   run_panel("abr", "mpc", traces::TraceSet::kFcc);
   run_panel("abr", "mpc", traces::TraceSet::kNorway);
-  return 0;
+  return bench::finish();
 }

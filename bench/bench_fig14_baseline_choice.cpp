@@ -74,5 +74,5 @@ int main(int argc, char** argv) {
                       : "");
     }
   }
-  return 0;
+  return bench::finish();
 }

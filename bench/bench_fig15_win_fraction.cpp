@@ -73,5 +73,5 @@ int main(int argc, char** argv) {
   run_panel("abr", "bba", abr_sets);
   run_panel("cc", "bbr", cc_sets);
   run_panel("cc", "cubic", cc_sets);
-  return 0;
+  return bench::finish();
 }

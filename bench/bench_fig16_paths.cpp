@@ -142,5 +142,5 @@ int main(int argc, char** argv) {
       "range, where Genet can lose");
   abr_panel();
   cc_panel();
-  return 0;
+  return bench::finish();
 }

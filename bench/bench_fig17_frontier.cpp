@@ -129,5 +129,5 @@ int main(int argc, char** argv) {
   cc_panel(traces::TraceSet::kEthernet);
   abr_panel(traces::TraceSet::kFcc);
   abr_panel(traces::TraceSet::kNorway);
-  return 0;
+  return bench::finish();
 }

@@ -144,5 +144,5 @@ int main(int argc, char** argv) {
     bench::print_row("CL3 @ 2x iterations", cl3_double);
   }
   bench::print_row("Genet @ 1x (reference)", {genet_curve.back()});
-  return 0;
+  return bench::finish();
 }

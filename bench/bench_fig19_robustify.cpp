@@ -65,5 +65,5 @@ int main(int argc, char** argv) {
         adapter->make_policy(bench::genet_params(zoo, *adapter, "mpc", 1));
     bench::print_row("Genet", {evaluate(*policy)});
   }
-  return 0;
+  return bench::finish();
 }

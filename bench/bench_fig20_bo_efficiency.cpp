@@ -74,5 +74,5 @@ int main(int argc, char** argv) {
       "~100 points for; grid search converges slower");
   run_panel("abr", "mpc", 1000);
   run_panel("cc", "bbr", 200);
-  return 0;
+  return bench::finish();
 }

@@ -55,5 +55,5 @@ int main(int argc, char** argv) {
                 "%.3f (= -delay)\n",
                 job, env->server_rate_bytes_per_s(0), result.reward);
   }
-  return 0;
+  return bench::finish();
 }

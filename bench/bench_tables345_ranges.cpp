@@ -39,5 +39,5 @@ int main(int argc, char** argv) {
   print_space("abr");
   print_space("cc");
   print_space("lb");
-  return 0;
+  return bench::finish();
 }

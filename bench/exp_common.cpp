@@ -18,6 +18,7 @@ namespace bench {
 namespace {
 
 std::string g_checkpoint_dir;
+netgym::obs::Session* g_session = nullptr;  // opened by print_header
 
 /// Snapshot path for one zoo training run; "" when checkpointing is off.
 /// Creating the directory lazily keeps --checkpoint-dir side-effect free for
@@ -164,9 +165,9 @@ void print_header(int argc, char** argv, const std::string& experiment,
   }
   g_checkpoint_dir = args.text("checkpoint-dir");
   try {
-    // Static: lives until exit, when its destructor writes the trace, the
-    // flight recording and --metrics-out.
-    static netgym::obs::Session session(netgym::obs::parse(args));
+    // Never destroyed: finish() closes it, and main's exit status reports
+    // an output it could not write.
+    g_session = new netgym::obs::Session(netgym::obs::parse(args));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(2);
@@ -179,6 +180,16 @@ void print_header(int argc, char** argv, const std::string& experiment,
   std::printf("math: %s (%s kernels)\n", nn::math_mode_name(nn::math_mode()),
               nn::active_kernel_name());
   std::printf("================================================================\n");
+}
+
+int finish() {
+  try {
+    if (g_session != nullptr) g_session->close();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+  return 0;
 }
 
 void print_row(const std::string& label, const std::vector<double>& values,

@@ -68,9 +68,12 @@ void parallel_sweep(int n, std::uint64_t seed,
 /// Every harness leads with the experiment id and what the paper's version
 /// of the plot shows. `print_header` first parses argv against kBench +
 /// obs::kFlags (flag_tables.hpp; --help lists them), then opens the one
-/// obs::Session, live until exit, and logs "run_start". Call it first.
+/// obs::Session, live until finish(), and logs "run_start". Call it first.
 void print_header(int argc, char** argv, const std::string& experiment,
                   const std::string& claim);
+/// Every harness ends with `return bench::finish();`: it closes the Session,
+/// and an output it cannot write prints "error: ..." and returns 1.
+int finish();
 void print_row(const std::string& label, const std::vector<double>& values,
                int width = 10, int precision = 3);
 

@@ -19,7 +19,6 @@
 #include "netgym/tracing.hpp"
 #include "nn/gemm.hpp"
 #include "rl/policy.hpp"
-#include "rl/trainer.hpp"
 #include "serve/frame.hpp"
 
 namespace dist {
@@ -51,15 +50,8 @@ struct EvalState {
 
 void apply_eval_setup(EvalState& state, EvalSetup setup) {
   state.adapter = genet::make_adapter_from_spec(setup.adapter_spec);
-  // Reconstruct the coordinator's MlpPolicy: shape from the adapter, the
-  // default hidden layout every task trainer uses, parameters from the wire.
-  netgym::Rng init_rng(0);
-  auto policy = std::make_unique<rl::MlpPolicy>(
-      state.adapter->obs_size(), state.adapter->action_count(),
-      rl::TrainerOptions{}.hidden, init_rng);
-  policy->restore(setup.policy_params);
-  policy->set_greedy(setup.greedy != 0);
-  state.policy = std::move(policy);
+  state.policy = state.adapter->make_policy(setup.policy_params);
+  state.policy->set_greedy(setup.greedy != 0);
   state.eval_id = setup.eval_id;
   state.setup = std::move(setup);
   state.active = true;

@@ -6,12 +6,12 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <stdexcept>
 
 #include "genet/adapter.hpp"
+#include "netgym/checkpoint.hpp"
 #include "netgym/config.hpp"
 #include "netgym/flight.hpp"
 #include "netgym/parallel.hpp"
@@ -499,9 +499,7 @@ std::vector<std::string> write_regression_fixture(const std::string& dir) {
     paths.push_back((std::filesystem::path(dir) /
                      (std::string("fleet_digest_") + task + ".txt"))
                         .string());
-    std::ofstream out(paths.back(), std::ios::binary | std::ios::trunc);
-    out << canonical_digest(result);
-    if (!out) throw std::runtime_error("fleet: cannot write " + paths.back());
+    netgym::write_file_bytes(paths.back(), canonical_digest(result));
   }
   return paths;
 }

@@ -2,9 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 
+#include "netgym/checkpoint.hpp"
 #include "netgym/telemetry.hpp"
 
 namespace fleet {
@@ -116,11 +115,7 @@ void write_fleet_json(const std::string& path, const FleetResult& r) {
   }
   out += "  ]\n";
   out += "}\n";
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("write_fleet_json: cannot open " + path);
-  f << out;
-  f.flush();
-  if (!f) throw std::runtime_error("write_fleet_json: write failed: " + path);
+  netgym::write_file_bytes(path, out);
 }
 
 std::string format_fleet_summary(const FleetResult& r) {

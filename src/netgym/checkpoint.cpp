@@ -12,6 +12,8 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 #include "netgym/telemetry.hpp"
 #include "netgym/tracing.hpp"
@@ -151,8 +153,7 @@ const std::array<std::uint32_t, 256>& crc_table() {
   return table;
 }
 
-/// RAII stdio handle so every error path closes (and optionally removes) the
-/// temp file.
+/// RAII stdio handle so every error path closes the file.
 struct FileCloser {
   std::FILE* f = nullptr;
   ~FileCloser() {
@@ -566,3 +567,21 @@ Snapshot read_file(const std::string& path) {
 }
 
 }  // namespace netgym::checkpoint
+
+namespace netgym {
+
+void write_file_bytes(const std::string& path, std::string_view bytes) {
+  const auto fail = [&path](int err) {
+    throw std::runtime_error("cannot write '" + path +
+                             "': " + std::strerror(err));
+  };
+  checkpoint::FileCloser file{std::fopen(path.c_str(), "wb")};
+  if (file.f == nullptr) fail(errno);
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file.f) != bytes.size() ||
+      std::fflush(file.f) != 0) {
+    fail(errno);
+  }
+  if (std::fclose(std::exchange(file.f, nullptr)) != 0) fail(errno);
+}
+
+}  // namespace netgym

@@ -155,3 +155,12 @@ Snapshot decode_file_bytes(std::string_view bytes, const std::string& what);
 std::uint32_t crc32(std::string_view data);
 
 }  // namespace netgym::checkpoint
+
+namespace netgym {
+
+/// The writer of every artifact but checkpoints: create or truncate `path`
+/// and write `bytes`, checking the open, write, flush and close. Throws
+/// std::runtime_error("cannot write '<path>': <reason>") on any failure.
+void write_file_bytes(const std::string& path, std::string_view bytes);
+
+}  // namespace netgym

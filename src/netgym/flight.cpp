@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <stdexcept>
 #include <tuple>
 
+#include "netgym/checkpoint.hpp"
 #include "netgym/telemetry.hpp"
 
 namespace netgym::flight {
@@ -126,17 +126,9 @@ std::vector<EpisodeRecord> Recorder::worst() const {
 }
 
 void Recorder::write_jsonl(const std::string& path) const {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    throw std::runtime_error("flight: cannot open output file " + path);
-  }
-  std::string line;
-  for (const EpisodeRecord& rec : worst()) {
-    line.clear();
-    append_jsonl_line(line, rec);
-    std::fwrite(line.data(), 1, line.size(), out);
-  }
-  std::fclose(out);
+  std::string out;
+  for (const EpisodeRecord& rec : worst()) append_jsonl_line(out, rec);
+  write_file_bytes(path, out);
 }
 
 void Recorder::reset() {

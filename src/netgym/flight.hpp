@@ -77,7 +77,7 @@ class Recorder {
   }
 
   /// One JSON object per line, worst episode first; throws std::runtime_error
-  /// if the file cannot be opened.
+  /// naming `path` if the file cannot be written.
   void write_jsonl(const std::string& path) const;
 
   /// Drop retained episodes and the seen count (keeps enabled state).

@@ -1,31 +1,17 @@
 #include "netgym/obs.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "netgym/checkpoint.hpp"
 #include "netgym/flight.hpp"
 #include "netgym/health.hpp"
 #include "netgym/telemetry.hpp"
 #include "netgym/tracing.hpp"
 
 namespace netgym::obs {
-
-namespace {
-
-/// Write `text` to `path`, or to stdout when `path` is "-".
-void write_text(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    std::fputs(text.c_str(), stdout);
-    return;
-  }
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << text;
-}
-
-}  // namespace
 
 Options parse(const flags::Args& args) {
   return {
@@ -43,13 +29,6 @@ Options parse(const flags::Args& args) {
 }
 
 Session::Session(Options options) : options_(std::move(options)) {
-  // Construct the singletons close() touches before this object finishes
-  // constructing, so a Session with static storage duration (the benches')
-  // is destroyed before they are.
-  telemetry::Registry::instance();
-  health::Watchdog::instance();
-  flight::Recorder::instance();
-
   const Options& o = options_;
   // The steps that can throw come first: a throw destroys endpoint_ and
   // leaves no other sink installed.
@@ -58,7 +37,8 @@ Session::Session(Options options) : options_(std::move(options)) {
     std::printf("metrics: listening on 127.0.0.1:%d\n", endpoint_.port());
     std::fflush(stdout);
     if (!o.metrics_port_file.empty()) {
-      write_text(o.metrics_port_file, std::to_string(endpoint_.port()) + "\n");
+      write_file_bytes(o.metrics_port_file,
+                       std::to_string(endpoint_.port()) + "\n");
     }
   }
   const std::string& sink = o.log_file.empty() ? o.health_out : o.log_file;
@@ -91,13 +71,6 @@ void Session::close() {
   if (closed_) return;
   closed_ = true;
   const Options& o = options_;
-  endpoint_.stop();
-  if (!o.health_out.empty() || o.health_fail_fast) {
-    health::Watchdog::instance().disable();
-  }
-  if (!o.log_file.empty() || !o.health_out.empty()) {
-    telemetry::set_global_logger(nullptr);
-  }
   // Attempt every output even when one fails; report the first failure.
   std::string failure;
   const auto attempt = [&](const auto& write) {
@@ -107,6 +80,15 @@ void Session::close() {
       if (failure.empty()) failure = e.what();
     }
   };
+  endpoint_.stop();
+  if (!o.health_out.empty() || o.health_fail_fast) {
+    health::Watchdog::instance().disable();
+  }
+  if (!o.log_file.empty() || !o.health_out.empty()) {
+    const auto logger = telemetry::global_logger();
+    telemetry::set_global_logger(nullptr);
+    if (logger != nullptr) attempt([&] { logger->check(); });
+  }
   if (!o.trace_out.empty()) {
     tracing::stop();
     attempt([&] { tracing::write_chrome_trace(o.trace_out); });
@@ -117,7 +99,12 @@ void Session::close() {
   }
   if (!o.metrics_out.empty()) {
     attempt([&] {
-      write_text(o.metrics_out, telemetry::format_metrics_table());
+      const std::string table = telemetry::format_metrics_table();
+      if (o.metrics_out == "-") {
+        std::fputs(table.c_str(), stdout);
+      } else {
+        write_file_bytes(o.metrics_out, table);
+      }
     });
   }
   if (!failure.empty()) throw std::runtime_error(failure);

@@ -54,9 +54,9 @@ Options parse(const flags::Args& args);
 /// Installs every sink the Options name: the metrics endpoint, the run log
 /// (--log-file, else --health-out), the span tracer, the flight recorder and
 /// the health watchdog. close() -- or the destructor, also during exception
-/// unwinding -- uninstalls them and writes the trace, the flight recording
-/// and --metrics-out. Construct once per process, in a serial section,
-/// before any work starts.
+/// unwinding -- uninstalls them, checks the run log for a failed write and
+/// writes the trace, the flight recording and --metrics-out. Construct once
+/// per process, in a serial section, before any work starts.
 class Session {
  public:
   explicit Session(Options options);

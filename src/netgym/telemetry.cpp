@@ -1,9 +1,11 @@
 #include "netgym/telemetry.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -420,7 +422,9 @@ std::vector<Field> snapshot_fields(
 RunLogger::RunLogger(std::string path) : path_(std::move(path)) {
   out_ = std::fopen(path_.c_str(), "w");
   if (out_ == nullptr) {
-    throw std::runtime_error("RunLogger: cannot open log file " + path_);
+    const int err = errno;
+    throw std::runtime_error("cannot write '" + path_ +
+                             "': " + std::strerror(err));
   }
 }
 
@@ -454,8 +458,19 @@ void RunLogger::event(std::string_view type, std::int64_t step,
                   ",\"seq\":%" PRIu64 ",\"ts_ms\":%" PRId64 "}\n", seq,
                   static_cast<std::int64_t>(ts_ms));
     line += buf;
-    std::fwrite(line.data(), 1, line.size(), out_);
-    std::fflush(out_);  // crash-safe: at most the in-flight line is lost
+    if ((std::fwrite(line.data(), 1, line.size(), out_) != line.size() ||
+         std::fflush(out_) != 0) &&
+        error_ == 0) {
+      error_ = errno != 0 ? errno : EIO;
+    }
+  }
+}
+
+void RunLogger::check() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (error_ != 0) {
+    throw std::runtime_error("cannot write '" + path_ +
+                             "': " + std::strerror(error_));
   }
 }
 

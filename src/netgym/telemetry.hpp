@@ -265,6 +265,8 @@ std::vector<Field> snapshot_fields(const std::vector<Registry::Entry>& entries);
 ///   {"type":"...","step":N,"seq":K,"ts_ms":...,<fields...>}
 /// written and flushed under a mutex, so concurrent emitters interleave at
 /// line granularity and a crash loses at most the line being written.
+/// event() never throws: a failed write or flush is kept (the first one) and
+/// reported by check(), so a full disk cannot change what a run computes.
 class RunLogger {
  public:
   /// Opens (truncates) `path`; throws std::runtime_error on failure.
@@ -283,18 +285,22 @@ class RunLogger {
     event(type, step, fields.data(), fields.data() + fields.size());
   }
 
-  const std::string& path() const { return path_; }
   std::uint64_t events_written() const {
     return events_.load(std::memory_order_relaxed);
   }
+
+  /// Throws std::runtime_error("cannot write '<path>': <reason>") if any
+  /// event failed to reach the file.
+  void check() const;
 
  private:
   void event(std::string_view type, std::int64_t step, const Field* begin,
              const Field* end);
 
   std::string path_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::FILE* out_ = nullptr;
+  int error_ = 0;  ///< errno of the first failed write; guarded by mu_
   std::atomic<std::uint64_t> events_{0};
 };
 

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "netgym/checkpoint.hpp"
+
 namespace netgym {
 
 double Trace::duration_s() const {
@@ -131,13 +133,12 @@ Trace generate_cc_trace(const CcTraceParams& params, Rng& rng) {
 
 void save_trace(const Trace& trace, const std::string& path) {
   trace.validate();
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("save_trace: cannot write " + path);
+  std::ostringstream out;
   out.precision(9);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     out << trace.timestamps_s[i] << " " << trace.bandwidth_mbps[i] << "\n";
   }
-  if (!out) throw std::runtime_error("save_trace: write failed on " + path);
+  write_file_bytes(path, out.str());
 }
 
 Trace load_trace(const std::string& path) {

@@ -65,7 +65,8 @@ Trace generate_cc_trace(const CcTraceParams& params, Rng& rng);
 /// Serialize a trace in the Appendix-A.2 text format: one
 /// "<timestamp_s> <bandwidth_mbps>" pair per line. This is also the format
 /// of the Pensieve/Pantheon trace files the paper's artifact ships, so real
-/// recorded traces can be dropped in.
+/// recorded traces can be dropped in. Throws std::runtime_error naming
+/// `path` if the file cannot be written.
 void save_trace(const Trace& trace, const std::string& path);
 
 /// Parse a trace file saved by `save_trace` (or a Pensieve-format trace).

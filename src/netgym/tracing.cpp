@@ -7,10 +7,11 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "netgym/checkpoint.hpp"
 #include "netgym/telemetry.hpp"
 
 namespace netgym::tracing {
@@ -93,9 +94,8 @@ struct TraceRegistry {
 };
 
 TraceRegistry& registry() {
-  // Immortal: never destroyed, so a flush during static destruction (an
-  // obs::Session with static storage) and spans emitted by late-exiting
-  // threads can never touch a dead object.
+  // Immortal: never destroyed, so spans emitted by late-exiting threads can
+  // never touch a dead object.
   static TraceRegistry* r = new TraceRegistry;
   return *r;
 }
@@ -202,8 +202,8 @@ std::uint64_t recorded_spans() {
 
 namespace {
 
-/// Append the optional args object ({"index":..,"span_id":..,"parent":..})
-/// shared by local and remote span events. Emits nothing when no arg is set.
+/// Append a span event's optional args object
+/// ({"index":..,"span_id":..,"parent":..}). Emits nothing when no arg is set.
 void append_span_args(std::string& line, std::int64_t index,
                       std::uint64_t span_id, std::uint64_t parent_id) {
   if (index < 0 && span_id == 0 && parent_id == 0) return;
@@ -230,23 +230,49 @@ void append_span_args(std::string& line, std::int64_t index,
   line += '}';
 }
 
-void append_meta(std::vector<std::string>& events, std::int64_t pid,
-                 const char* meta_name, std::int64_t tid,
-                 const std::string& value) {
+// Every append_* below adds one event followed by ",\n"; write_chrome_trace
+// turns the last separator into the closing "\n]}\n".
+
+void append_meta(std::string& out, std::int64_t pid, const char* meta_name,
+                 std::int64_t tid, const std::string& value) {
   char buf[96];
-  std::string meta = "{\"ph\":\"M\"";
+  out += "{\"ph\":\"M\"";
   std::snprintf(buf, sizeof(buf), ",\"pid\":%lld,\"name\":\"%s\"",
                 static_cast<long long>(pid), meta_name);
-  meta += buf;
+  out += buf;
   if (tid >= 0) {
     std::snprintf(buf, sizeof(buf), ",\"tid\":%lld",
                   static_cast<long long>(tid));
-    meta += buf;
+    out += buf;
   }
-  meta += ",\"args\":{\"name\":";
-  telemetry::json::append_string(meta, value);
-  meta += "}}";
-  events.push_back(std::move(meta));
+  out += ",\"args\":{\"name\":";
+  telemetry::json::append_string(out, value);
+  out += "}},\n";
+}
+
+/// One "X" complete event; `start_ns` is relative to start(), so traces
+/// begin at 0.
+void append_span_event(std::string& out, std::int64_t pid, std::int64_t tid,
+                       std::string_view name, std::string_view cat,
+                       std::int64_t start_ns, std::int64_t dur_ns,
+                       std::int64_t index, std::uint64_t span_id,
+                       std::uint64_t parent_id) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "{\"ph\":\"X\",\"pid\":%lld,\"tid\":%lld,\"name\":",
+                static_cast<long long>(pid), static_cast<long long>(tid));
+  out += buf;
+  telemetry::json::append_string(out, name);
+  out += ",\"cat\":";
+  telemetry::json::append_string(out, cat);
+  // Chrome trace timestamps are microseconds; keep ns precision in the
+  // fraction.
+  std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
+                static_cast<double>(start_ns) * 1e-3,
+                static_cast<double>(dur_ns) * 1e-3);
+  out += buf;
+  append_span_args(out, index, span_id, parent_id);
+  out += "},\n";
 }
 
 }  // namespace
@@ -255,82 +281,53 @@ std::uint64_t write_chrome_trace(const std::string& path) {
   TraceRegistry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
 
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    throw std::runtime_error("tracing: cannot open trace file " + path);
-  }
-
   // One event per line keeps the file trivially greppable and line-parseable
   // while staying a single valid JSON document. Each process gets its own
   // pid lane: the local process under its real pid, every remote lane under
   // the pid it reported in its hello.
   const auto local_pid = static_cast<std::int64_t>(::getpid());
-  std::vector<std::string> events;
+  // Reserve well past what the events need, so the string does not
+  // reallocate: pages it never fills are never touched and cost no memory.
+  std::size_t events = 1 + r.buffers.size() + r.remote.size();
+  for (const auto& buffer : r.buffers) events += buffer->held();
+  for (const auto& lane : r.remote) events += 2 * lane.spans.size();
+  std::string out;
+  out.reserve(256 * events);
+  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   std::uint64_t span_events = 0;
-  char buf[160];
-  append_meta(events, local_pid, "process_name", -1, "genet");
+  append_meta(out, local_pid, "process_name", -1, "genet");
   for (const auto& buffer : r.buffers) {
-    append_meta(events, local_pid, "thread_name",
-                static_cast<std::int64_t>(buffer->tid()),
+    const auto tid = static_cast<std::int64_t>(buffer->tid());
+    append_meta(out, local_pid, "thread_name", tid,
                 "thread-" + std::to_string(buffer->tid()));
     for (const SpanRecord& rec : buffer->collect()) {
-      std::string line = "{\"ph\":\"X\"";
-      std::snprintf(buf, sizeof(buf), ",\"pid\":%lld,\"tid\":%u,\"name\":",
-                    static_cast<long long>(local_pid), buffer->tid());
-      line += buf;
-      telemetry::json::append_string(line, rec.name != nullptr ? rec.name
-                                                               : "span");
-      line += ",\"cat\":";
-      telemetry::json::append_string(line, rec.cat != nullptr ? rec.cat
-                                                              : "task");
-      // Chrome trace timestamps are microseconds; keep ns precision in the
-      // fraction. Timestamps are relative to start() so traces begin at 0.
-      std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
-                    static_cast<double>(rec.start_ns - r.start_ns) * 1e-3,
-                    static_cast<double>(rec.dur_ns) * 1e-3);
-      line += buf;
-      append_span_args(line, rec.index, rec.span_id, rec.parent_id);
-      line += '}';
-      events.push_back(std::move(line));
+      append_span_event(out, local_pid, tid,
+                        rec.name != nullptr ? rec.name : "span",
+                        rec.cat != nullptr ? rec.cat : "task",
+                        rec.start_ns - r.start_ns, rec.dur_ns, rec.index,
+                        rec.span_id, rec.parent_id);
       ++span_events;
     }
   }
   for (const auto& lane : r.remote) {
-    append_meta(events, lane.pid, "process_name", -1, lane.label);
+    append_meta(out, lane.pid, "process_name", -1, lane.label);
     std::vector<std::int64_t> named_tids;
     for (const RemoteSpan& rec : lane.spans) {
       if (std::find(named_tids.begin(), named_tids.end(), rec.tid) ==
           named_tids.end()) {
         named_tids.push_back(rec.tid);
-        append_meta(events, lane.pid, "thread_name", rec.tid,
+        append_meta(out, lane.pid, "thread_name", rec.tid,
                     lane.label + "-thread-" + std::to_string(rec.tid));
       }
-      std::string line = "{\"ph\":\"X\"";
-      std::snprintf(buf, sizeof(buf), ",\"pid\":%lld,\"tid\":%lld,\"name\":",
-                    static_cast<long long>(lane.pid),
-                    static_cast<long long>(rec.tid));
-      line += buf;
-      telemetry::json::append_string(line, rec.name);
-      line += ",\"cat\":";
-      telemetry::json::append_string(line, rec.cat);
-      std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
-                    static_cast<double>(rec.start_ns - r.start_ns) * 1e-3,
-                    static_cast<double>(rec.dur_ns) * 1e-3);
-      line += buf;
-      append_span_args(line, rec.index, rec.span_id, rec.parent_id);
-      line += '}';
-      events.push_back(std::move(line));
+      append_span_event(out, lane.pid, rec.tid, rec.name, rec.cat,
+                        rec.start_ns - r.start_ns, rec.dur_ns, rec.index,
+                        rec.span_id, rec.parent_id);
       ++span_events;
     }
   }
-
-  std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n", out);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    std::fputs(events[i].c_str(), out);
-    std::fputs(i + 1 < events.size() ? ",\n" : "\n", out);
-  }
-  std::fputs("]}\n", out);
-  std::fclose(out);
+  out.resize(out.size() - 2);  // the last event's ",\n"
+  out += "\n]}\n";
+  write_file_bytes(path, out);
   return span_events;
 }
 

@@ -91,8 +91,8 @@ void stop();
 /// thread-name metadata). Each process gets its own `pid` lane (the local
 /// process uses its real pid), so a merged multi-process trace renders as
 /// one timeline per process in Perfetto. Returns the number of span events
-/// written; throws std::runtime_error if the file cannot be opened. Serial
-/// sections only.
+/// written; throws std::runtime_error naming `path` if the file cannot be
+/// written (netgym::write_file_bytes). Serial sections only.
 std::uint64_t write_chrome_trace(const std::string& path);
 
 /// Spans lost to ring overflow across all threads since the last start().

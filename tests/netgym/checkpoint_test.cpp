@@ -13,8 +13,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -244,6 +246,44 @@ TEST(CheckpointFile, FailedWriteLeavesNoFileBehind) {
   snap.put_i64("k", 1);
   EXPECT_THROW(ckpt::write_file(snap, path), CheckpointError);
   EXPECT_FALSE(std::ifstream(path).good());
+}
+
+// ------------------------------------------------------- write_file_bytes
+
+/// What write_file_bytes throws as std::runtime_error; "" when it returns.
+std::string write_error(const std::string& path, const std::string& bytes) {
+  try {
+    netgym::write_file_bytes(path, bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WriteFileBytes, WritesExactlyTheBytesOverAnyOldContents) {
+  const std::string path = temp_path("write_file_bytes.bin");
+  std::string bytes("nul\0in the middle\n", 19);
+  for (int b = 255; b >= 0; --b) bytes.push_back(static_cast<char>(b));
+  netgym::write_file_bytes(path, std::string(4096, 'x'));
+  netgym::write_file_bytes(path, bytes);
+  EXPECT_EQ(slurp(path), bytes);
+  netgym::write_file_bytes(path, "");
+  EXPECT_EQ(slurp(path), "");
+  std::remove(path.c_str());
+}
+
+TEST(WriteFileBytes, ThrowsNamingAPathInAMissingDirectory) {
+  const std::string path = temp_path("no_such_dir/out.txt");
+  EXPECT_NE(write_error(path, "data\n").find("'" + path + "'"),
+            std::string::npos);
+}
+
+TEST(WriteFileBytes, ThrowsNamingAFullDevice) {
+  // Every write to /dev/full fails with ENOSPC; the open succeeds.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string error = write_error("/dev/full", "data\n");
+  EXPECT_NE(error.find("'/dev/full'"), std::string::npos) << error;
+  EXPECT_EQ(write_error("/dev/full", ""), "");  // nothing to flush
 }
 
 // ------------------------------------------------- Serializable round trips

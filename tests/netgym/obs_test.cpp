@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <iterator>
@@ -220,10 +221,44 @@ TEST(ObsSession, CloseWritesTraceFlightAndMetricsTable) {
 
 TEST(ObsSession, CloseReportsAnUnwritableOutput) {
   EnvGuard env;
-  obs::Options o;
-  o.metrics_out = ::testing::TempDir() + "no_such_dir/metrics.txt";
-  obs::Session session(o);
-  EXPECT_THROW(session.close(), std::runtime_error);
+  // A missing directory fails the open; /dev/full fails every write.
+  std::vector<std::string> paths = {::testing::TempDir() + "no_such_dir/out"};
+  if (std::filesystem::exists("/dev/full")) paths.emplace_back("/dev/full");
+  const std::pair<const char*, std::string obs::Options::*> outputs[] = {
+      {"trace", &obs::Options::trace_out},
+      {"flight recording", &obs::Options::flight_out},
+      {"metrics table", &obs::Options::metrics_out},
+      {"run log", &obs::Options::log_file}};
+  for (const auto& [output, field] : outputs) {
+    for (const std::string& path : paths) {
+      obs::Options o;
+      o.*field = path;
+      o.flight_k = 1;
+      netgym::flight::Recorder::instance().reset();
+      bool opened = false;
+      std::string error;
+      try {
+        obs::Session session(o);
+        opened = true;
+        { netgym::tracing::TraceSpan span("obs.test", "test"); }
+        tel::log_event("obs_test", 0, {{"i", std::int64_t{1}}});
+        if (auto capture = netgym::flight::begin_episode("lb", {"x"})) {
+          capture->add(0, 1.0, {0.5});
+          netgym::flight::submit(std::move(capture));
+        }
+        session.close();
+      } catch (const std::runtime_error& e) {
+        error = e.what();
+      }
+      EXPECT_NE(error.find("'" + path + "'"), std::string::npos)
+          << output << " to " << path << ": \"" << error << "\"";
+      // A run log in a missing directory fails when the Session opens it,
+      // before any work starts; every other case fails in close().
+      EXPECT_EQ(opened, field != &obs::Options::log_file || path == "/dev/full")
+          << output << " to " << path;
+    }
+  }
+  netgym::flight::Recorder::instance().reset();
 }
 
 }  // namespace

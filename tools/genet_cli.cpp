@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -326,10 +325,8 @@ int cmd_fleet(const flags::Args& args) {
     std::printf("wrote %s\n", args.text("json").c_str());
   }
   if (args.has("digest")) {
-    const std::string& path = args.text("digest");
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write " + path);
-    out << fleet::canonical_digest(result);
+    netgym::write_file_bytes(args.text("digest"),
+                             fleet::canonical_digest(result));
   }
   int failed_slos = 0;
   for (const auto& sc : result.scenarios) {

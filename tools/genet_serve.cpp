@@ -13,11 +13,11 @@
 
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 
 #include "flag_tables.hpp"
+#include "netgym/checkpoint.hpp"
 #include "netgym/flags.hpp"
 #include "netgym/obs.hpp"
 #include "serve/server.hpp"
@@ -85,10 +85,8 @@ int main(int argc, char** argv) {
                 policy->task.c_str());
     std::fflush(stdout);
     if (args.has("port-file")) {
-      std::ofstream pf(args.text("port-file"));
-      if (!pf) throw std::runtime_error("cannot write " +
-                                        args.text("port-file"));
-      pf << server.port() << "\n";
+      netgym::write_file_bytes(args.text("port-file"),
+                               std::to_string(server.port()) + "\n");
     }
 
     const auto started = std::chrono::steady_clock::now();

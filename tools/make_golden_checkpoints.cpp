@@ -11,9 +11,7 @@
 // duplicated in tests/netgym/golden_checkpoint_test.cpp; keep them in sync.
 
 #include <cstdio>
-#include <fstream>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -205,10 +203,7 @@ void write_dist_frames_golden(const std::string& dir) {
   dist::encode_shutdown(bytes);
 
   const std::string path = dir + "/golden_dist_frames_v2.bin";
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
-    throw std::runtime_error("cannot write " + path);
-  }
+  netgym::write_file_bytes(path, bytes);
 }
 
 }  // namespace
