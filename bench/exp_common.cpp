@@ -185,6 +185,7 @@ void print_header(int argc, char** argv, const std::string& experiment,
 int finish() {
   try {
     if (g_session != nullptr) g_session->close();
+    netgym::flush_stdout();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

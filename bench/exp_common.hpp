@@ -71,8 +71,9 @@ void parallel_sweep(int n, std::uint64_t seed,
 /// obs::Session, live until finish(), and logs "run_start". Call it first.
 void print_header(int argc, char** argv, const std::string& experiment,
                   const std::string& claim);
-/// Every harness ends with `return bench::finish();`: it closes the Session,
-/// and an output it cannot write prints "error: ..." and returns 1.
+/// Every harness ends with `return bench::finish();`: it closes the Session
+/// and flushes stdout, and an output it cannot write (stdout included)
+/// prints "error: ..." and returns 1.
 int finish();
 void print_row(const std::string& label, const std::vector<double>& values,
                int width = 10, int precision = 3);

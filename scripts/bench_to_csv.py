@@ -93,7 +93,7 @@ def rounds_rows(block):
 
 METRICS_HEADER = re.compile(r"^metric\s+kind\s+count\s+value\s+p50\s+p90\s+p99\s+max$")
 METRICS_COLUMNS = ["metric", "kind", "count", "value", "p50", "p90", "p99", "max"]
-METRIC_KINDS = {"counter", "gauge", "timer", "histogram"}
+METRIC_KINDS = {"counter", "gauge", "histogram"}
 
 
 def metrics_rows(block):
@@ -101,8 +101,7 @@ def metrics_rows(block):
     rows, histogram percentile fields included; returns (rows, other_lines).
 
     Metric names never contain spaces, so rows split on single whitespace:
-    counters/gauges have (name, kind, value), timers (name, kind, count,
-    seconds), histograms all eight columns.
+    counters/gauges have (name, kind, value), histograms all eight columns.
     """
     rows = []
     rest = []
@@ -119,8 +118,6 @@ def metrics_rows(block):
                 kind = cells[1]
                 if kind in ("counter", "gauge"):
                     rows.append([cells[0], kind, "", cells[2], "", "", "", ""])
-                elif kind == "timer":
-                    rows.append(cells[:4] + ["", "", "", ""])
                 else:
                     rows.append(cells[:8])
                 continue

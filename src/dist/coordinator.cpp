@@ -1,5 +1,6 @@
 #include "dist/coordinator.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -13,6 +14,7 @@
 #include <stdexcept>
 
 #include "dist/protocol.hpp"
+#include "netgym/checkpoint.hpp"
 #include "netgym/telemetry.hpp"
 #include "netgym/tracing.hpp"
 #include "nn/gemm.hpp"
@@ -64,7 +66,8 @@ Coordinator::~Coordinator() {
     genet::set_train_model_hook(nullptr);
   }
   // Graceful first: a shutdown frame, then the closed socket, then SIGKILL
-  // for stragglers. Never throws.
+  // for stragglers. Never throws; the send cannot block (the fd is
+  // non-blocking) and is skipped behind unsent bytes, where it would tear.
   std::string shutdown;
   try {
     encode_shutdown(shutdown);
@@ -72,7 +75,7 @@ Coordinator::~Coordinator() {
   }
   for (WorkerProc& w : workers_) {
     if (!w.alive) continue;
-    if (!shutdown.empty()) {
+    if (w.out.empty()) {
       (void)::send(w.fd, shutdown.data(), shutdown.size(), MSG_NOSIGNAL);
     }
     ::close(w.fd);
@@ -141,6 +144,7 @@ void Coordinator::spawn_worker(std::size_t index) {
     _exit(127);
   }
   ::close(sv[1]);
+  ::fcntl(sv[0], F_SETFL, ::fcntl(sv[0], F_GETFL) | O_NONBLOCK);
   WorkerProc& w = workers_[index];
   w.pid = pid;
   w.fd = sv[0];
@@ -159,68 +163,34 @@ void Coordinator::exchange_hellos() {
       static_cast<std::int64_t>(netgym::tracing::kDefaultBufferCapacity);
   hello.trace_ship_max_bytes = options_.trace_ship_max_bytes;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    WorkerProc& w = workers_[i];
-    if (!w.alive) continue;
     hello.worker_ordinal = static_cast<std::int64_t>(i);
     std::string frame;
     encode_hello(frame, hello);
-    (void)send_to(w, frame);
+    send_to(workers_[i], frame);
   }
+  const auto waiting = [this] {
+    return std::any_of(workers_.begin(), workers_.end(),
+                       [](const WorkerProc& w) {
+                         return w.alive && !w.saw_hello;
+                       });
+  };
   const std::int64_t deadline = now_ms() + options_.timeout_ms;
-  for (;;) {
-    bool waiting = false;
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> fd_owner;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      WorkerProc& w = workers_[i];
-      if (!w.alive || w.saw_hello) continue;
-      waiting = true;
-      fds.push_back(pollfd{w.fd, POLLIN, 0});
-      fd_owner.push_back(i);
-    }
-    if (!waiting) break;
-    const std::int64_t remaining = deadline - now_ms();
-    if (remaining <= 0) {
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        if (workers_[i].alive && !workers_[i].saw_hello) {
-          destroy_worker(workers_[i], "hello timeout");
-        }
+  while (waiting()) {
+    if (now_ms() >= deadline) {
+      for (WorkerProc& w : workers_) {
+        if (!w.saw_hello) destroy_worker(w, "hello timeout");
       }
       break;
     }
-    const int ready = ::poll(fds.data(), fds.size(),
-                             static_cast<int>(std::min<std::int64_t>(
-                                 remaining, 500)));
-    if (ready < 0 && errno != EINTR) {
-      throw std::runtime_error(std::string("dist: poll failed: ") +
-                               std::strerror(errno));
-    }
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      WorkerProc& w = workers_[fd_owner[k]];
-      char buf[4096];
-      const ssize_t n = ::read(w.fd, buf, sizeof buf);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        destroy_worker(w, "died before hello");
-        continue;
+    pump(deadline - now_ms(), [this](std::size_t i, const std::string& body) {
+      const HelloOk ok = decode_hello_ok(body);
+      if (ok.version != kDistProtocolVersion) {
+        throw std::runtime_error(
+            "dist: worker protocol version " + std::to_string(ok.version) +
+            " != coordinator " + std::to_string(kDistProtocolVersion));
       }
-      w.reader.feed(buf, static_cast<std::size_t>(n));
-      try {
-        while (const auto body = w.reader.next()) {
-          const HelloOk ok = decode_hello_ok(*body);
-          if (ok.version != kDistProtocolVersion) {
-            throw std::runtime_error(
-                "dist: worker protocol version " +
-                std::to_string(ok.version) + " != coordinator " +
-                std::to_string(kDistProtocolVersion));
-          }
-          w.saw_hello = true;
-        }
-      } catch (const serve::ProtocolError&) {
-        destroy_worker(w, "bad hello");
-      }
-    }
+      workers_[i].saw_hello = true;
+    });
   }
   if (alive_workers() == 0) {
     throw std::runtime_error(
@@ -235,6 +205,7 @@ void Coordinator::destroy_worker(WorkerProc& worker, const char* reason) {
   ::kill(worker.pid, SIGKILL);
   ::close(worker.fd);
   worker.fd = -1;
+  worker.out.clear();
   while (::waitpid(worker.pid, nullptr, 0) < 0 && errno == EINTR) {
   }
   tel::Registry::instance().counter("dist.worker_deaths").add();
@@ -269,25 +240,75 @@ void Coordinator::destroy_worker(WorkerProc& worker, const char* reason) {
   }
 }
 
-bool Coordinator::send_to(WorkerProc& worker, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(worker.fd, bytes.data() + sent,
-                             bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      destroy_worker(worker, "send failed");
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
+void Coordinator::send_to(WorkerProc& worker, const std::string& bytes) {
+  if (!worker.alive) return;
+  worker.out += bytes;
+  flush(worker);
 }
 
-void Coordinator::broadcast(const std::string& bytes) {
-  for (WorkerProc& w : workers_) {
-    if (w.alive) (void)send_to(w, bytes);
+void Coordinator::flush(WorkerProc& worker) {
+  while (worker.alive && !worker.out.empty()) {
+    const ssize_t n = ::send(worker.fd, worker.out.data(), worker.out.size(),
+                             MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n < 0) {
+      destroy_worker(worker, "send failed");
+      return;
+    }
+    worker.out.erase(0, static_cast<std::size_t>(n));
   }
+}
+
+void Coordinator::pump(std::int64_t wait_ms, const BodyHandler& on_body) {
+  std::vector<pollfd> fds;
+  std::vector<std::size_t> fd_owner;
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    const WorkerProc& w = workers_[i];
+    if (!w.alive) continue;
+    const short events = w.out.empty() ? POLLIN : POLLIN | POLLOUT;
+    fds.push_back(pollfd{w.fd, events, 0});
+    fd_owner.push_back(i);
+  }
+  const int wait = static_cast<int>(std::clamp<std::int64_t>(wait_ms, 0, 500));
+  if (::poll(fds.data(), fds.size(), wait) < 0 && errno != EINTR) {
+    throw std::runtime_error(std::string("dist: poll failed: ") +
+                             std::strerror(errno));
+  }
+  for (std::size_t k = 0; k < fds.size(); ++k) {
+    WorkerProc& w = workers_[fd_owner[k]];
+    if ((fds[k].revents & POLLOUT) != 0) flush(w);
+    if (!w.alive || (fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+      continue;
+    }
+    char buf[64 * 1024];
+    const ssize_t got = ::read(w.fd, buf, sizeof buf);
+    if (got < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    if (got <= 0) {
+      destroy_worker(w, "socket eof");
+      continue;
+    }
+    w.reader.feed(buf, static_cast<std::size_t>(got));
+    try {
+      while (const auto body = w.reader.next()) {
+        // A worker-reported error is fatal: the request fails identically
+        // on every worker, so reassigning would just loop.
+        if (serve::type_of(*body) == serve::MsgType::kError) {
+          throw std::runtime_error("dist worker error: " +
+                                   serve::decode_error(*body));
+        }
+        on_body(fd_owner[k], *body);
+      }
+    } catch (const serve::ProtocolError&) {
+      destroy_worker(w, "malformed frame");
+    } catch (const netgym::checkpoint::CheckpointError&) {
+      destroy_worker(w, "malformed frame");
+    }
+  }
+  std::size_t queued = 0;
+  for (const WorkerProc& w : workers_) queued += w.out.size();
+  tel::Registry::instance().gauge("dist.outbound_bytes").set(
+      static_cast<double>(queued));
 }
 
 void Coordinator::maybe_inject_kill(std::size_t index) {
@@ -298,7 +319,7 @@ void Coordinator::maybe_inject_kill(std::size_t index) {
   tel::Registry::instance().counter("dist.test_kills").add();
   // SIGKILL only: the death is discovered through the normal EOF/EPIPE
   // path, so the test exercises exactly what a real crash would. Fired
-  // after the Nth unit is claimed but before its bytes are written (the
+  // after the Nth unit is claimed but before its bytes are queued (the
   // call site precedes send_to), so the unit is guaranteed stranded --
   // killing after the send would race against a fast worker finishing.
   ::kill(workers_[0].pid, SIGKILL);
@@ -323,7 +344,7 @@ void Coordinator::register_remote_spans(std::size_t worker_index,
 }
 
 void Coordinator::run_units(
-    std::size_t n,
+    std::size_t n, std::uint64_t eval_id, const std::string& setup_frame,
     const std::function<void(std::size_t, std::string&)>& encode_unit,
     const std::function<std::size_t(std::size_t, const std::string&)>&
         on_result) {
@@ -337,95 +358,45 @@ void Coordinator::run_units(
       throw std::runtime_error(
           "dist: all workers died with work outstanding");
     }
-    // Dispatch pending units to idle workers.
+    // Dispatch pending units to idle workers. The deadline starts before
+    // the bytes are queued, so it covers their delivery too.
     for (std::size_t i = 0; i < workers_.size() && !pending_.empty(); ++i) {
       WorkerProc& w = workers_[i];
       if (!w.alive || w.unit >= 0) continue;
       const std::size_t unit = pending_.front();
       pending_.pop_front();
       std::string frame;
+      if (!setup_frame.empty() && w.setup_eval != eval_id) {
+        frame = setup_frame;
+        w.setup_eval = eval_id;
+      }
       encode_unit(unit, frame);
       w.unit = static_cast<std::int64_t>(unit);
       w.deadline_ms = now_ms() + options_.timeout_ms;
       ++w.sends;
       ++attempts_[unit];
       maybe_inject_kill(i);
-      (void)send_to(w, frame);  // on failure the death path already requeued
+      send_to(w, frame);  // on failure the death path already requeued
     }
 
     // Wait for a response or the nearest deadline.
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> fd_owner;
     std::int64_t nearest = now_ms() + 500;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      const WorkerProc& w = workers_[i];
-      if (!w.alive) continue;
-      fds.push_back(pollfd{w.fd, POLLIN, 0});
-      fd_owner.push_back(i);
-      if (w.unit >= 0) nearest = std::min(nearest, w.deadline_ms);
+    for (const WorkerProc& w : workers_) {
+      if (w.alive && w.unit >= 0) nearest = std::min(nearest, w.deadline_ms);
     }
-    if (fds.empty()) continue;  // loop re-checks alive_workers
-    const int wait = static_cast<int>(std::max<std::int64_t>(
-        0, std::min<std::int64_t>(nearest - now_ms(), 500)));
-    const int ready = ::poll(fds.data(), fds.size(), wait);
-    if (ready < 0 && errno != EINTR) {
-      throw std::runtime_error(std::string("dist: poll failed: ") +
-                               std::strerror(errno));
-    }
-
-    // Drain readable workers.
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      WorkerProc& w = workers_[fd_owner[k]];
-      if (!w.alive) continue;
-      char buf[64 * 1024];
-      const ssize_t got = ::read(w.fd, buf, sizeof buf);
-      if (got <= 0) {
-        if (got < 0 && errno == EINTR) continue;
-        destroy_worker(w, "socket eof");
-        continue;
+    pump(nearest - now_ms(), [&](std::size_t i, const std::string& body) {
+      // on_result validates everything -- frame type, checkpoint CRC, field
+      // shapes, unit bookkeeping -- before any state mutates; a truncated
+      // or corrupt payload throws and costs the worker, not the run.
+      WorkerProc& w = workers_[i];
+      if (w.unit != static_cast<std::int64_t>(on_result(i, body))) {
+        throw serve::ProtocolError("dist: stray result");
       }
-      w.reader.feed(buf, static_cast<std::size_t>(got));
-      for (;;) {
-        std::string body;
-        try {
-          auto next = w.reader.next();
-          if (!next) break;
-          body = std::move(*next);
-        } catch (const serve::ProtocolError&) {
-          destroy_worker(w, "malformed frame");
-          break;
-        }
-        // A worker-reported error is fatal: the request fails identically
-        // on every worker, so reassigning would just loop.
-        if (!body.empty() &&
-            static_cast<serve::MsgType>(
-                static_cast<std::uint8_t>(body[0])) ==
-                serve::MsgType::kError) {
-          throw std::runtime_error("dist worker error: " +
-                                   serve::decode_error(body));
-        }
-        std::size_t unit = 0;
-        try {
-          // on_result validates everything -- frame type, checkpoint CRC,
-          // field shapes, unit bookkeeping -- before any state mutates; a
-          // truncated or corrupt payload lands here and costs the worker,
-          // not the run.
-          unit = on_result(fd_owner[k], body);
-        } catch (const std::exception&) {
-          destroy_worker(w, "malformed result");
-          break;
-        }
-        if (w.unit != static_cast<std::int64_t>(unit)) {
-          destroy_worker(w, "stray result");
-          break;
-        }
-        w.unit = -1;
-        ++w.items_done;
-        ++completed_;
-        tel::Registry::instance().counter("dist.items").add();
-      }
-    }
+      w.unit = -1;
+      ++w.items_done;
+      ++completed_;
+      tel::Registry::instance().counter("dist.items").add();
+    });
 
     // Enforce per-unit deadlines.
     const std::int64_t now = now_ms();
@@ -460,12 +431,11 @@ std::vector<double> Coordinator::eval_items(
   setup.parent_span = dispatch_span;
   std::string setup_frame;
   encode_eval_setup(setup_frame, setup);
-  broadcast(setup_frame);
 
   std::vector<double> values(n);
   std::vector<char> done(n, 0);
   run_units(
-      n,
+      n, eval_id, setup_frame,
       [&](std::size_t i, std::string& out) {
         ItemsRequest items;
         items.eval_id = eval_id;
@@ -514,7 +484,7 @@ std::vector<std::vector<double>> Coordinator::train_models(
   std::vector<std::vector<double>> results(n);
   std::vector<char> done(n, 0);
   run_units(
-      n,
+      n, 0, {},
       [&](std::size_t i, std::string& out) {
         TrainRequest train;
         train.train_id = batch_base + i;

@@ -48,12 +48,16 @@ struct Options {
 /// cannot change any output bit (in strict math mode, the same contract the
 /// in-process thread pool gives).
 ///
-/// Failure handling: socket EOF, poll errors, malformed response frames, and
-/// per-unit deadline expiry all mark the worker dead (SIGKILL + waitpid) and
-/// requeue its in-flight unit at the front, bumping the dist.reassigned
-/// counter and logging a "dist_reassign" record. A unit that fails
-/// `max_attempts` dispatches, a worker kError frame (request errors fail
-/// everywhere), and losing the last worker are fatal.
+/// Failure handling: socket EOF, poll errors, undecodable response frames
+/// (serve::ProtocolError or checkpoint::CheckpointError), and per-unit
+/// deadline expiry all mark the worker dead (SIGKILL + waitpid) and requeue
+/// its in-flight unit at the front, bumping the dist.reassigned counter and
+/// logging a "dist_reassign" record. A unit's deadline covers its queued
+/// bytes as well as its compute: worker sockets are non-blocking, so a
+/// stopped worker costs one deadline, never a blocked send. A unit that
+/// fails `max_attempts` dispatches, a worker kError frame (request errors
+/// fail everywhere), a protocol version mismatch, and losing the last worker
+/// are fatal.
 class Coordinator {
  public:
   explicit Coordinator(const Options& options);
@@ -65,8 +69,8 @@ class Coordinator {
   std::vector<pid_t> worker_pids() const;  ///< pids of the alive workers
   std::int64_t reassignments() const { return reassigned_; }
 
-  /// Shard one gap evaluation: broadcast the setup, dispatch one item per
-  /// frame, return per-item values in item order.
+  /// Shard one gap evaluation: dispatch one item per frame, the setup riding
+  /// with each worker's first item; return per-item values in item order.
   std::vector<double> eval_items(const genet::GapEvalRequest& request);
 
   /// Train each spec on a worker; parameter snapshots in request order.
@@ -85,6 +89,8 @@ class Coordinator {
     bool alive = false;
     bool saw_hello = false;
     serve::FrameReader reader{serve::kMaxDistFrameBytes};
+    std::string out;  ///< bytes the socket has not taken yet
+    std::uint64_t setup_eval = 0;  ///< eval whose EvalSetup it was last sent
     std::int64_t unit = -1;  ///< in-flight unit index, -1 when idle
     std::int64_t deadline_ms = 0;  ///< steady-clock deadline of `unit`
     int sends = 0;           ///< work units dispatched to this worker
@@ -94,18 +100,31 @@ class Coordinator {
   void spawn_worker(std::size_t index);
   void exchange_hellos();
   void destroy_worker(WorkerProc& worker, const char* reason);
-  bool send_to(WorkerProc& worker, const std::string& bytes);
-  void broadcast(const std::string& bytes);
+  /// Queue `bytes` behind the worker's unsent ones and send what the socket
+  /// takes now; never blocks.
+  void send_to(WorkerProc& worker, const std::string& bytes);
+  void flush(WorkerProc& worker);
   void maybe_inject_kill(std::size_t index);
+
+  using BodyHandler = std::function<void(std::size_t, const std::string&)>;
+  /// The one poll/read path: wait up to `wait_ms` on the alive workers,
+  /// flush queued bytes, read, and hand each complete frame body to
+  /// `on_body` with the worker's index. A body that fails to decode --
+  /// serve::ProtocolError or checkpoint::CheckpointError from the reader or
+  /// from `on_body` -- destroys its worker; a kError body is fatal.
+  void pump(std::int64_t wait_ms, const BodyHandler& on_body);
 
   /// The dispatch/poll/reassign engine shared by eval_items and
   /// train_models: run `n` units to completion over the alive workers.
-  /// `encode_unit` appends unit i's frame; `on_result` parses one response
-  /// body fully (throwing on any defect, before any caller state mutates)
-  /// and returns the completed unit's index. `on_result`'s first argument is
-  /// the responding worker's index, so shipped span batches land in the
-  /// right trace lane.
-  void run_units(std::size_t n,
+  /// `setup_frame` (eval `eval_id`'s EvalSetup, or empty for trainings) is
+  /// prepended to the first unit a worker gets of that eval. `encode_unit`
+  /// appends unit i's frame; `on_result` parses one response body fully
+  /// (throwing on any defect, before any caller state mutates) and returns
+  /// the completed unit's index. `on_result`'s first argument is the
+  /// responding worker's index, so shipped span batches land in the right
+  /// trace lane.
+  void run_units(std::size_t n, std::uint64_t eval_id,
+                 const std::string& setup_frame,
                  const std::function<void(std::size_t, std::string&)>&
                      encode_unit,
                  const std::function<std::size_t(std::size_t,

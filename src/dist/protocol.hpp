@@ -50,8 +50,8 @@ struct HelloOk {
   std::int64_t pid = 0;
 };
 
-/// Per-evaluation setup, broadcast once per gap evaluation; the per-item
-/// frames that follow carry only stream states.
+/// Per-evaluation setup, sent to a worker just ahead of its first item of
+/// that gap evaluation; the per-item frames carry only stream states.
 struct EvalSetup {
   std::uint64_t eval_id = 0;
   std::string adapter_spec;

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -55,8 +56,6 @@ std::uint64_t parse_hex_u64(std::string_view hex, const std::string& key) {
       v |= static_cast<std::uint64_t>(c - '0');
     } else if (c >= 'a' && c <= 'f') {
       v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      v |= static_cast<std::uint64_t>(c - 'A' + 10);
     } else {
       throw CheckpointError("checkpoint: key '" + key +
                             "': invalid hex digit in '" + std::string(hex) +
@@ -84,7 +83,6 @@ std::string parse_hex_bytes(std::string_view hex, std::size_t len,
   auto nibble = [&](char c) -> unsigned {
     if (c >= '0' && c <= '9') return static_cast<unsigned>(c - '0');
     if (c >= 'a' && c <= 'f') return static_cast<unsigned>(c - 'a' + 10);
-    if (c >= 'A' && c <= 'F') return static_cast<unsigned>(c - 'A' + 10);
     throw CheckpointError("checkpoint: key '" + key +
                           "': invalid hex digit in string payload");
   };
@@ -408,25 +406,24 @@ Snapshot Snapshot::decode(std::string_view payload) {
   return snap;
 }
 
+namespace {
+
+/// The two header lines encode_file_bytes writes. The decoder accepts only
+/// these exact bytes, so every accepted file re-encodes to itself.
+std::string file_header(std::uint64_t payload_bytes, std::uint32_t crc) {
+  char header[96];
+  std::snprintf(header, sizeof header, "%s %d\npayload %" PRIu64
+                " crc32 %08" PRIx32 "\n",
+                std::string(kMagic).c_str(), kFormatVersion, payload_bytes,
+                crc);
+  return header;
+}
+
+}  // namespace
+
 std::string encode_file_bytes(const Snapshot& snap) {
   const std::string payload = snap.encode();
-  std::string contents;
-  contents.reserve(payload.size() + 64);
-  contents += kMagic;
-  contents += ' ';
-  contents += std::to_string(kFormatVersion);
-  contents += '\n';
-  contents += "payload ";
-  contents += std::to_string(payload.size());
-  contents += " crc32 ";
-  {
-    char crc_hex[9];
-    std::snprintf(crc_hex, sizeof crc_hex, "%08x", crc32(payload));
-    contents.append(crc_hex, 8);
-  }
-  contents += '\n';
-  contents += payload;
-  return contents;
+  return file_header(payload.size(), crc32(payload)) + payload;
 }
 
 Snapshot decode_file_bytes(std::string_view bytes, const std::string& what) {
@@ -473,6 +470,10 @@ Snapshot decode_file_bytes(std::string_view bytes, const std::string& what) {
     expected_crc =
         static_cast<std::uint32_t>(parse_hex_u64("00000000" + crc_hex, what));
   }
+  if (bytes.substr(0, eol + 1) != file_header(expected_bytes, expected_crc)) {
+    throw CheckpointError("checkpoint: " + what +
+                          " has a malformed payload header");
+  }
 
   const std::string_view payload = bytes.substr(eol + 1);
   if (payload.size() != expected_bytes) {
@@ -495,7 +496,7 @@ Snapshot decode_file_bytes(std::string_view bytes, const std::string& what) {
 void write_file(const Snapshot& snap, const std::string& path) {
   netgym::tracing::TraceSpan span("checkpoint.save", "checkpoint");
   namespace tel = netgym::telemetry;
-  tel::ScopedTimer timing(tel::Registry::instance().timer("checkpoint.save"));
+  const auto started = std::chrono::steady_clock::now();
 
   const std::string contents = encode_file_bytes(snap);
 
@@ -531,6 +532,9 @@ void write_file(const Snapshot& snap, const std::string& path) {
   }
 
   tel::Registry::instance().counter("checkpoint.saves").add();
+  tel::Registry::instance().histogram("checkpoint.save_seconds").record(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+          .count());
   tel::Registry::instance()
       .counter("checkpoint.bytes_written")
       .add(static_cast<std::int64_t>(contents.size()));
@@ -545,7 +549,7 @@ void write_file(const Snapshot& snap, const std::string& path) {
 Snapshot read_file(const std::string& path) {
   netgym::tracing::TraceSpan span("checkpoint.load", "checkpoint");
   namespace tel = netgym::telemetry;
-  tel::ScopedTimer timing(tel::Registry::instance().timer("checkpoint.load"));
+  const auto started = std::chrono::steady_clock::now();
 
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -557,6 +561,9 @@ Snapshot read_file(const std::string& path) {
 
   Snapshot snap = decode_file_bytes(contents, "'" + path + "'");
   tel::Registry::instance().counter("checkpoint.loads").add();
+  tel::Registry::instance().histogram("checkpoint.load_seconds").record(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+          .count());
   if (tel::logging_enabled()) {
     tel::log_event("checkpoint_load", 0,
                    {{"path", path},
@@ -582,6 +589,14 @@ void write_file_bytes(const std::string& path, std::string_view bytes) {
     fail(errno);
   }
   if (std::fclose(std::exchange(file.f, nullptr)) != 0) fail(errno);
+}
+
+void flush_stdout() {
+  errno = 0;
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    throw std::runtime_error(std::string("cannot write 'stdout': ") +
+                             std::strerror(errno != 0 ? errno : EIO));
+  }
 }
 
 }  // namespace netgym

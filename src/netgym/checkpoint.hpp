@@ -163,4 +163,9 @@ namespace netgym {
 /// std::runtime_error("cannot write '<path>': <reason>") on any failure.
 void write_file_bytes(const std::string& path, std::string_view bytes);
 
+/// Flush stdout and check that nothing written to it was lost; a front end
+/// calls it last, since stdout carries its results. Throws
+/// std::runtime_error("cannot write 'stdout': <reason>") otherwise.
+void flush_stdout();
+
 }  // namespace netgym

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -90,13 +91,6 @@ std::string render_prometheus(const std::vector<Registry::Entry>& entries) {
       case Registry::Kind::kGauge:
         out += "# TYPE " + name + " gauge\n";
         append_sample(out, name, "", e.value);
-        break;
-      case Registry::Kind::kTimer:
-        // A timer is (total seconds, op count): a quantile-less summary.
-        out += "# TYPE " + name + " summary\n";
-        append_sample(out, name + "_sum", "", e.value);
-        append_sample(out, name + "_count", "",
-                      static_cast<double>(e.count));
         break;
       case Registry::Kind::kHistogram:
         append_summary(out, name, e.hist);
@@ -189,21 +183,28 @@ void MetricsEndpoint::serve_loop(int wake_fd) {
       }
       continue;
     }
-    // Bound every read/write on the connection: a client that connects and
-    // then stalls must not wedge the single serving thread (and with it
-    // stop(), which joins this thread) -- it gets timed out and dropped.
-    timeval io_timeout{};
-    io_timeout.tv_sec = 2;
-    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &io_timeout,
-                 sizeof(io_timeout));
-    ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &io_timeout,
-                 sizeof(io_timeout));
+    // One 2 s deadline per request covers the head and the response, and
+    // the wake pipe is polled alongside: a stalled or trickling scraper is
+    // dropped at the deadline and never holds stop().
+    ::fcntl(conn, F_SETFL, ::fcntl(conn, F_GETFL) | O_NONBLOCK);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    const auto ready = [&](short events) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd p[2] = {{conn, events, 0}, {wake_fd, POLLIN, 0}};
+      return left.count() > 0 &&
+             ::poll(p, 2, static_cast<int>(left.count())) > 0 &&
+             p[1].revents == 0;  // a wake drops the request; the loop exits
+    };
+    const auto retry = [] { return errno == EAGAIN || errno == EINTR; };
     // Drain the request head (best-effort: stop at the blank line or once
     // 4 KiB arrived); the response is the same regardless of path or verb.
     char buf[4096];
     std::size_t got = 0;
-    while (got < sizeof(buf)) {
-      const ssize_t n = ::read(conn, buf + got, sizeof(buf) - got);
+    while (got < sizeof(buf) && ready(POLLIN)) {
+      const ssize_t n = ::recv(conn, buf + got, sizeof(buf) - got, 0);
+      if (n < 0 && retry()) continue;
       if (n <= 0) break;
       got += static_cast<std::size_t>(n);
       if (std::string_view(buf, got).find("\r\n\r\n") !=
@@ -218,12 +219,13 @@ void MetricsEndpoint::serve_loop(int wake_fd) {
         "Content-Length: " +
         std::to_string(body.size()) + "\r\n\r\n" + body;
     std::size_t sent = 0;
-    while (sent < resp.size()) {
+    while (sent < resp.size() && ready(POLLOUT)) {
       // MSG_NOSIGNAL, never raw write: the host may be `genet train`, which
       // does not ignore SIGPIPE, and a scraper hanging up mid-response must
       // not kill a training run.
       const ssize_t n = ::send(conn, resp.data() + sent, resp.size() - sent,
                                MSG_NOSIGNAL);
+      if (n < 0 && retry()) continue;
       if (n <= 0) break;
       sent += static_cast<std::size_t>(n);
     }

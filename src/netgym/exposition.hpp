@@ -24,8 +24,8 @@ namespace netgym::telemetry {
 
 /// Render Registry entries as Prometheus text exposition: `# TYPE` comments
 /// followed by samples. Metric names are sanitized ('.' and '-' become '_');
-/// counters and gauges map directly, timers and histograms render as
-/// summaries (quantile-labelled samples plus `_sum`/`_count`).
+/// counters and gauges map directly, histograms render as summaries
+/// (quantile-labelled samples plus `_sum`/`_count`).
 std::string render_prometheus(const std::vector<Registry::Entry>& entries);
 
 /// render_prometheus(Registry::instance().snapshot()).

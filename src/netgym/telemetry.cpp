@@ -301,16 +301,6 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-TimerStat& Registry::timer(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = timers_.find(name);
-  if (it == timers_.end()) {
-    it = timers_.emplace(std::string(name), std::make_unique<TimerStat>())
-             .first;
-  }
-  return *it->second;
-}
-
 Histogram& Registry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
@@ -324,16 +314,13 @@ Histogram& Registry::histogram(std::string_view name) {
 std::vector<Registry::Entry> Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Entry> entries;
-  entries.reserve(counters_.size() + gauges_.size() + timers_.size());
+  entries.reserve(counters_.size() + gauges_.size() + histograms_.size());
   for (const auto& [name, c] : counters_) {
     entries.push_back({name, Kind::kCounter,
                        static_cast<double>(c->value()), 0, {}});
   }
   for (const auto& [name, g] : gauges_) {
     entries.push_back({name, Kind::kGauge, g->value(), 0, {}});
-  }
-  for (const auto& [name, t] : timers_) {
-    entries.push_back({name, Kind::kTimer, t->total_seconds(), t->count(), {}});
   }
   for (const auto& [name, h] : histograms_) {
     Entry e;
@@ -355,7 +342,6 @@ void Registry::reset_all() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, t] : timers_) t->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 
@@ -376,10 +362,6 @@ std::string format_metrics_table() {
       case Registry::Kind::kGauge:
         std::snprintf(line, sizeof(line), "%-32s %-9s %10s %14.6g\n",
                       e.name.c_str(), "gauge", "", e.value);
-        break;
-      case Registry::Kind::kTimer:
-        std::snprintf(line, sizeof(line), "%-32s %-9s %10" PRId64 " %13.3fs\n",
-                      e.name.c_str(), "timer", e.count, e.value);
         break;
       case Registry::Kind::kHistogram:
         std::snprintf(line, sizeof(line),

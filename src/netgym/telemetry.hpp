@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -15,11 +14,12 @@
 
 namespace netgym::telemetry {
 
-// Run telemetry: a process-wide registry of named counters/gauges/timers plus
-// a structured JSONL event sink (RunLogger). Every layer of the stack emits
-// through here -- per-iteration training stats, per-round curriculum records,
-// per-trial BO proposals, and cheap environment step/episode counters -- so a
-// training or bench run leaves a machine-readable trajectory behind.
+// Run telemetry: a process-wide registry of named counters, gauges and
+// histograms plus a structured JSONL event sink (RunLogger). Every layer of
+// the stack emits through here -- per-iteration training stats, per-round
+// curriculum records, per-trial BO proposals, and cheap environment
+// step/episode counters -- so a training or bench run leaves a
+// machine-readable trajectory behind.
 //
 // Determinism contract (DESIGN.md, "Run telemetry"): telemetry NEVER draws
 // from an netgym::Rng, never reorders or skips work, and metric updates are
@@ -65,53 +65,6 @@ class Gauge {
 
  private:
   std::atomic<double> value_{0.0};
-};
-
-/// Accumulated wall-clock time of a named code region.
-class TimerStat {
- public:
-  void record_ns(std::int64_t ns) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
-  std::int64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double total_seconds() const {
-    return static_cast<double>(total_ns_.load(std::memory_order_relaxed)) *
-           1e-9;
-  }
-  void reset() {
-    count_.store(0, std::memory_order_relaxed);
-    total_ns_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> count_{0};
-  std::atomic<std::int64_t> total_ns_{0};
-};
-
-/// RAII wall-clock timer: records the elapsed time into a TimerStat on
-/// destruction. `seconds_so_far()` reads the running value without stopping.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(TimerStat& stat)
-      : stat_(stat), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    stat_.record_ns(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count());
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  double seconds_so_far() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  TimerStat& stat_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Distribution of a sample stream (episode rewards, per-MI queue delays...)
@@ -212,15 +165,14 @@ class Registry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  TimerStat& timer(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  enum class Kind { kCounter, kGauge, kTimer, kHistogram };
+  enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {
     std::string name;
     Kind kind = Kind::kCounter;
-    double value = 0.0;        ///< count / gauge value / total seconds / sum
-    std::int64_t count = 0;    ///< timer/histogram sample count (0 otherwise)
+    double value = 0.0;        ///< count / gauge value / histogram sum
+    std::int64_t count = 0;    ///< histogram sample count (0 otherwise)
     Histogram::Snapshot hist;  ///< populated for kHistogram entries only
   };
 
@@ -236,7 +188,6 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<TimerStat>, std::less<>> timers_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
@@ -255,8 +206,8 @@ using FieldValue =
     std::variant<std::int64_t, double, std::string, std::vector<double>>;
 using Field = std::pair<std::string, FieldValue>;
 
-/// A snapshot as JSONL event fields: `name: value` per counter, gauge and
-/// timer (a timer's value is its total seconds), and `name.count`,
+/// A snapshot as JSONL event fields: `name: value` per counter and gauge,
+/// and `name.count`,
 /// `name.mean`, `name.p50`, `name.p90`, `name.p99`, `name.max` per
 /// histogram. Backs the CLI `run_end` and the daemon `serve_metrics` records.
 std::vector<Field> snapshot_fields(const std::vector<Registry::Entry>& entries);

@@ -331,20 +331,12 @@ IterationStats ActorCriticBase::train_iteration(const EnvFactory& factory) {
       tel::Registry::instance().counter("rl.iterations");
   static tel::Counter& env_steps =
       tel::Registry::instance().counter("rl.env_steps");
-  static tel::TimerStat& rollout_timer =
-      tel::Registry::instance().timer("rl.rollout");
-  static tel::TimerStat& update_timer =
-      tel::Registry::instance().timer("rl.update");
   static tel::Histogram& rollout_hist =
       tel::Registry::instance().histogram("rl.rollout_seconds");
   static tel::Histogram& update_hist =
       tel::Registry::instance().histogram("rl.update_seconds");
   iterations.add();
   env_steps.add(stats.steps);
-  rollout_timer.record_ns(
-      static_cast<std::int64_t>(stats.rollout_seconds * 1e9));
-  update_timer.record_ns(
-      static_cast<std::int64_t>(stats.update_seconds * 1e9));
   rollout_hist.record(stats.rollout_seconds);
   update_hist.record(stats.update_seconds);
 

@@ -105,8 +105,9 @@ class ActorCriticBase : public netgym::checkpoint::Serializable {
   ~ActorCriticBase() override = default;
 
   /// Run one training iteration (collect + update) on envs from `factory`,
-  /// then publish run telemetry: registry counters/timers (`rl.iterations`,
-  /// `rl.env_steps`, `rl.rollout`, `rl.update`) and an "iteration" event on
+  /// then publish run telemetry: registry counters and histograms
+  /// (`rl.iterations`, `rl.env_steps`, `rl.rollout_seconds`,
+  /// `rl.update_seconds`) and an "iteration" event on
   /// the global RunLogger, if one is installed. Telemetry is observational
   /// only -- it consumes no RNG draws and runs after the update -- so the
   /// trained parameters are bit-identical with and without a sink.

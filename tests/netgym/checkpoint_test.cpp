@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -218,6 +219,29 @@ TEST(CheckpointFile, RejectsMissingCorruptedTruncatedAndWrongVersionFiles) {
   spit(path, "");
   EXPECT_THROW(ckpt::read_file(path), CheckpointError);
   std::remove(path.c_str());
+}
+
+TEST(CheckpointFile, OnlyTheEncodersExactHeaderIsAccepted) {
+  // The CRC covers the payload, not the header, so a header spelled another
+  // way must be refused or an accepted file would not re-encode to itself.
+  Snapshot snap;
+  snap.put_i64("version", 2);
+  const std::string good = ckpt::encode_file_bytes(snap);
+  EXPECT_NO_THROW(ckpt::decode_file_bytes(good, "good"));
+  const std::size_t crc = good.find("crc32 ") + 6;
+  const std::size_t space = good.find(' ', good.find("payload"));
+  std::string upper = good;
+  for (std::size_t i = crc; i < crc + 8; ++i) {
+    upper[i] = static_cast<char>(std::toupper(upper[i]));
+  }
+  ASSERT_NE(upper, good) << "this CRC has no hex letter to raise";
+  std::string tab = good;
+  tab[space] = '\t';
+  std::string padded = good;
+  padded.insert(space + 1, "0");
+  for (const std::string& bad : {upper, tab, padded}) {
+    EXPECT_THROW(ckpt::decode_file_bytes(bad, "bad"), CheckpointError) << bad;
+  }
 }
 
 TEST(CheckpointFile, AtomicRenameLeavesPriorSnapshotAfterMidWriteKill) {

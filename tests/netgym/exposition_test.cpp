@@ -13,10 +13,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "netgym/telemetry.hpp"
@@ -93,9 +96,8 @@ TEST(Exposition, EmptyHistogramOmitsQuantileSamples) {
   EXPECT_NE(text.find("x_count 0\n"), std::string::npos);
 }
 
-/// Plain blocking HTTP GET against 127.0.0.1:`port`; returns the full
-/// response (status line + headers + body).
-std::string http_get(int port) {
+/// A blocking TCP connection to 127.0.0.1:`port`.
+int connect_local(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -105,6 +107,13 @@ std::string http_get(int port) {
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0)
       << std::strerror(errno);
+  return fd;
+}
+
+/// Plain blocking HTTP GET against 127.0.0.1:`port`; returns the full
+/// response (status line + headers + body).
+std::string http_get(int port) {
+  const int fd = connect_local(port);
   const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
   EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
             static_cast<ssize_t>(request.size()));
@@ -145,25 +154,43 @@ TEST(Exposition, LiveEndpointServesRegistrySnapshotOverHttp) {
 TEST(Exposition, StalledClientCannotWedgeTheEndpoint) {
   telemetry::MetricsEndpoint endpoint;
   endpoint.start(0);
-  // Connect and send nothing: without SO_RCVTIMEO on the accepted socket
-  // this parked the single serving thread in read() forever, starving every
-  // later scrape and hanging stop() in thread_.join().
-  const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(stalled, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(endpoint.port()));
-  ASSERT_EQ(
-      ::connect(stalled, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-      0);
+  // Connect and send nothing: without a deadline on the request this parked
+  // the single serving thread in read() forever, starving every later
+  // scrape and hanging stop() in thread_.join().
+  const int stalled = connect_local(endpoint.port());
   // A well-behaved scrape queued behind the stalled one must still be
-  // answered (after the ~2s receive timeout expires), and stop() must
+  // answered (after the stalled request's 2 s deadline), and stop() must
   // return rather than hang.
   EXPECT_NE(http_get(endpoint.port()).find("200 OK"), std::string::npos);
   endpoint.stop();
   EXPECT_FALSE(endpoint.running());
   ::close(stalled);
+}
+
+TEST(Exposition, TrickleScraperCannotHoldStop) {
+  // One byte every 100 ms never completes a request head. A per-read
+  // timeout restarted with every byte, so stop() waited out the whole
+  // trickle; one deadline per request with the wake pipe in the same poll
+  // lets stop() return at once.
+  telemetry::MetricsEndpoint endpoint;
+  endpoint.start(0);
+  const int fd = connect_local(endpoint.port());
+  std::atomic<bool> done{false};
+  std::thread trickle([&] {
+    for (int i = 0; i < 50 && !done.load(); ++i) {  // at most 5 s
+      if (::send(fd, "G", 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto t0 = std::chrono::steady_clock::now();
+  endpoint.stop();
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  done = true;
+  trickle.join();
+  ::close(fd);
+  EXPECT_LT(took.count(), 1.0) << "stop() waited on a trickling scraper";
 }
 
 TEST(Exposition, StartRejectsUnbindablePort) {

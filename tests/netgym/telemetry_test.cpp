@@ -61,7 +61,7 @@ bool looks_like_json_object(const std::string& line) {
   return false;
 }
 
-TEST(Registry, CountersGaugesAndTimersAccumulate) {
+TEST(Registry, CountersGaugesAndHistogramsAccumulate) {
   tel::Registry& reg = tel::Registry::instance();
   reg.reset_all();
   tel::Counter& c = reg.counter("test.counter");
@@ -75,11 +75,12 @@ TEST(Registry, CountersGaugesAndTimersAccumulate) {
   reg.gauge("test.gauge").set(2.5);
   EXPECT_DOUBLE_EQ(reg.gauge("test.gauge").value(), 2.5);
 
-  tel::TimerStat& t = reg.timer("test.timer");
-  t.record_ns(1'500'000'000);
-  t.record_ns(500'000'000);
-  EXPECT_EQ(t.count(), 2);
-  EXPECT_NEAR(t.total_seconds(), 2.0, 1e-9);
+  tel::Histogram& h = reg.histogram("test.seconds");
+  EXPECT_EQ(&reg.histogram("test.seconds"), &h);
+  h.record(1.5);
+  h.record(0.5);
+  EXPECT_EQ(h.snapshot().count, 2);
+  EXPECT_DOUBLE_EQ(h.snapshot().sum, 2.0);
 }
 
 TEST(Registry, SnapshotIsNameSortedAndResetZeroesWithoutInvalidating) {
@@ -111,18 +112,6 @@ TEST(Registry, CounterIsExactUnderConcurrentIncrements) {
   });
   netgym::set_num_threads(0);
   EXPECT_EQ(c.value(), 64'000);
-}
-
-TEST(ScopedTimer, RecordsNonNegativeElapsedTime) {
-  tel::Registry& reg = tel::Registry::instance();
-  reg.reset_all();
-  tel::TimerStat& stat = reg.timer("scoped.timer");
-  {
-    tel::ScopedTimer timer(stat);
-    EXPECT_GE(timer.seconds_so_far(), 0.0);
-  }
-  EXPECT_EQ(stat.count(), 1);
-  EXPECT_GE(stat.total_seconds(), 0.0);
 }
 
 TEST(Histogram, ExactPercentilesBelowTheCap) {
@@ -336,26 +325,24 @@ TEST(Histogram, AppearsInRegistrySnapshotAndMetricsTable) {
 
 TEST(Registry, SnapshotFieldsCoverEveryEntryKind) {
   using Kind = tel::Registry::Kind;
-  std::vector<tel::Registry::Entry> entries(5);
+  std::vector<tel::Registry::Entry> entries(4);
   entries[0] = {"c", Kind::kCounter, 3.0, 0, {}};
   entries[1] = {"g", Kind::kGauge, -0.5, 0, {}};
-  entries[2] = {"t", Kind::kTimer, 1.25, 4, {}};
-  entries[3].name = "h";
+  entries[2].name = "h";
+  entries[2].kind = Kind::kHistogram;
+  entries[2].hist.count = 4;
+  entries[2].hist.sum = 10.0;
+  entries[2].hist.p50 = 2.0;
+  entries[2].hist.p90 = 3.0;
+  entries[2].hist.p99 = 3.5;
+  entries[2].hist.max = 4.0;
+  entries[3].name = "empty";  // a histogram with no samples has mean 0
   entries[3].kind = Kind::kHistogram;
-  entries[3].hist.count = 4;
-  entries[3].hist.sum = 10.0;
-  entries[3].hist.p50 = 2.0;
-  entries[3].hist.p90 = 3.0;
-  entries[3].hist.p99 = 3.5;
-  entries[3].hist.max = 4.0;
-  entries[4].name = "empty";  // a histogram with no samples has mean 0
-  entries[4].kind = Kind::kHistogram;
 
   const std::vector<tel::Field> fields = tel::snapshot_fields(entries);
   const std::vector<std::pair<std::string, tel::FieldValue>> expected = {
       {"c", 3.0},
       {"g", -0.5},
-      {"t", 1.25},  // a timer renders its total seconds
       {"h.count", std::int64_t{4}},
       {"h.mean", 2.5},
       {"h.p50", 2.0},

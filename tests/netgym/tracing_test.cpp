@@ -123,26 +123,26 @@ TEST(Tracing, WriteThrowsOnUnwritablePath) {
                std::runtime_error);
 }
 
-TEST(Tracing, PoolWorkersEmitSpansAlongsideScopedTimers) {
-  // Nested ScopedTimer + TraceSpan on worker threads: the pool items each
-  // record one span and one timer sample, and the trace carries the item
+TEST(Tracing, PoolWorkersEmitSpansAlongsideHistograms) {
+  // A TraceSpan plus a histogram sample on worker threads: the pool items
+  // each record one span and one sample, and the trace carries the item
   // spans injected by the pool itself (pool.item, tagged with the index).
   const std::string path = ::testing::TempDir() + "tracing_pool.json";
   TraceGuard guard(path);
   netgym::telemetry::Registry& reg = netgym::telemetry::Registry::instance();
   reg.reset_all();
-  netgym::telemetry::TimerStat& timer = reg.timer("tracing_test.item");
+  netgym::telemetry::Histogram& hist = reg.histogram("tracing_test.item");
 
   netgym::set_num_threads(4);
   tracing::start(1 << 12);
   netgym::parallel_for_each(32, [&](std::size_t i) {
-    netgym::telemetry::ScopedTimer t(timer);
     tracing::TraceSpan span("work", "task", static_cast<std::int64_t>(i));
+    hist.record(static_cast<double>(i));
   });
   tracing::stop();
   netgym::set_num_threads(0);
 
-  EXPECT_EQ(timer.count(), 32);
+  EXPECT_EQ(hist.snapshot().count, 32);
   tracing::write_chrome_trace(path);
   const auto lines = read_lines(path);
   EXPECT_EQ(count_containing(lines, "\"name\":\"work\""), 32);

@@ -1,10 +1,12 @@
-// Seeded fuzzing of the serve wire decoders: serve::FrameReader and every
-// decode_* (plus payload_of for the dist message types). Inputs are streams
-// of frames encoded here, mutated by bit flips, truncation, splices of two
-// streams and edits to a length prefix, then fed to a FrameReader in random
-// chunks. The property: every input either decodes or throws ProtocolError
-// -- never another exception, never a crash (the sanitizer builds run this
-// same fixed budget); no frame body is longer than kMaxFrameBytes, nothing
+// Seeded fuzzing of the wire decoders: serve::FrameReader, every serve
+// decode_* and every dist::decode_*. Inputs are streams of frames -- the
+// serve ones encoded here, the dist ones read from the committed
+// golden_dist_frames_v2.bin -- mutated by bit flips, truncation, splices of
+// two streams and edits to a length prefix, then fed to a FrameReader in
+// random chunks. The property: every input either decodes or throws
+// ProtocolError or CheckpointError -- never another exception, never a crash
+// (the sanitizer builds run this same fixed budget); no frame body is longer
+// than kMaxFrameBytes, nothing
 // decoded is larger than the body it came from, the reader buffers no more
 // than it was fed, chunking does not change what is decoded, and an
 // accepted body re-encodes to the same bytes.
@@ -14,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <optional>
 #include <random>
@@ -21,16 +24,20 @@
 #include <string_view>
 #include <vector>
 
+#include "dist/protocol.hpp"
+#include "netgym/checkpoint.hpp"
 #include "serve/frame.hpp"
 
 namespace {
 
 using serve::MsgType;
+using netgym::checkpoint::CheckpointError;
 using serve::ProtocolError;
 
-/// One frame of every type a serve or dist peer sends.
+/// One frame of every type a serve or dist peer sends: the serve frames
+/// encoded here, then the eight frames of the golden dist fixture.
 std::vector<std::string> seed_frames() {
-  std::vector<std::string> frames(9);
+  std::vector<std::string> frames(7);
   const double obs[3] = {0.5, -0.0, 1e-310};
   serve::encode_hello(frames[0]);
   serve::encode_act(frames[1], 42, obs, 3);
@@ -39,14 +46,23 @@ std::vector<std::string> seed_frames() {
   serve::encode_act_ok(frames[4], {42, 5, 2});
   serve::encode_close_ok(frames[5], 7);
   serve::encode_error(frames[6], "act: expected 10 observation values, got 3");
-  serve::encode_payload_frame(frames[7], MsgType::kDistItems, "items\n0 1 2");
-  serve::encode_payload_frame(frames[8], MsgType::kDistShutdown, "");
+  std::ifstream in(std::string(GENET_TEST_DATA_DIR) + "/golden_dist_frames_v2.bin",
+                   std::ios::binary);
+  const std::string dist((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  for (std::size_t at = 0; at + 4 <= dist.size();) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, dist.data() + at, 4);  // little-endian hosts only
+    frames.push_back(dist.substr(at, 4 + std::size_t{len}));
+    at += 4 + std::size_t{len};
+  }
+  EXPECT_EQ(frames.size(), 15u) << "golden_dist_frames_v2.bin is 8 frames";
   return frames;
 }
 
 /// Decodes `body` with the decoder its type byte names and returns the
 /// re-encoded frame, or nullopt for hello (whose body the server ignores).
-/// Throws ProtocolError on a malformed body.
+/// Throws ProtocolError or CheckpointError on a malformed body.
 std::optional<std::string> reencode(std::string_view body) {
   std::string out;
   const MsgType type = serve::type_of(body);
@@ -77,7 +93,28 @@ std::optional<std::string> reencode(std::string_view body) {
       serve::encode_error(out, message);
       break;
     }
-    default:
+    case MsgType::kDistHello:
+      dist::encode_hello(out, dist::decode_hello(body));
+      break;
+    case MsgType::kDistHelloOk:
+      dist::encode_hello_ok(out, dist::decode_hello_ok(body));
+      break;
+    case MsgType::kDistEval:
+      dist::encode_eval_setup(out, dist::decode_eval_setup(body));
+      break;
+    case MsgType::kDistItems:
+      dist::encode_items_request(out, dist::decode_items_request(body));
+      break;
+    case MsgType::kDistItemsOk:
+      dist::encode_items_result(out, dist::decode_items_result(body));
+      break;
+    case MsgType::kDistTrain:
+      dist::encode_train_request(out, dist::decode_train_request(body));
+      break;
+    case MsgType::kDistTrainOk:
+      dist::encode_train_result(out, dist::decode_train_result(body));
+      break;
+    default:  // kDistShutdown: a worker reads only its type byte
       serve::encode_payload_frame(out, type, serve::payload_of(body, type));
       break;
   }
@@ -123,6 +160,8 @@ Outcome decode_stream(const std::string& bytes, std::mt19937_64& rng,
           outcome.bodies.push_back(*body);
         } catch (const ProtocolError&) {
           outcome.bodies.push_back("rejected");
+        } catch (const CheckpointError&) {
+          outcome.bodies.push_back("rejected");
         }
       }
       EXPECT_LE(reader.pending_bytes(), fed);
@@ -161,8 +200,11 @@ TEST(ServeFrameFuzz, SeedsRoundTripInAnyChunking) {
 TEST(ServeFrameFuzz, EveryTruncationWaitsForMoreBytes) {
   std::mt19937_64 rng(2);
   for (const std::string& frame : seed_frames()) {
+    // Chunks grow with the frame: a few KiB dist frame cut at every byte
+    // and fed 1-3 bytes at a time would cost seconds.
+    const std::size_t chunk = std::max<std::size_t>(3, frame.size() / 64);
     for (std::size_t at = 0; at < frame.size(); ++at) {
-      const Outcome cut = decode_stream(frame.substr(0, at), rng, 3);
+      const Outcome cut = decode_stream(frame.substr(0, at), rng, chunk);
       EXPECT_FALSE(cut.stream_rejected) << "cut at " << at;
       EXPECT_TRUE(cut.bodies.empty()) << "cut at " << at;
     }

@@ -421,6 +421,7 @@ int main(int argc, char** argv) {
       netgym::telemetry::log_event("run_end", 0, fields);
     }
     session.close();
+    netgym::flush_stdout();
     return rc;
   } catch (const flags::Error& e) {
     flags::fail(program, e.what());  // a required flag is missing
