@@ -81,15 +81,15 @@ AbrEnv::AbrEnv(AbrEnvConfig config, netgym::Trace trace, std::uint64_t seed)
 
 double AbrEnv::download_time_s(double bits, double start_s) const {
   if (bits <= 0) throw std::invalid_argument("download_time_s: bits <= 0");
-  const double span = trace_.duration_s();
+  netgym::Trace::Cursor bandwidth(trace_);
   double t = config_.min_rtt_ms / 1000.0;  // request latency
   double remaining = bits;
   // Integrate the bandwidth step function in small slices; the trace wraps.
   constexpr double kSlice = 0.05;
   while (remaining > 0 && t < kMaxDownloadS) {
-    const double now = std::fmod(start_s + t, span);
     const double bw_bps =
-        std::max(trace_.bandwidth_at(now), kMinEffectiveBwMbps) * 1e6;
+        std::max(bandwidth.bandwidth_at(start_s + t), kMinEffectiveBwMbps) *
+        1e6;
     const double sent = bw_bps * kSlice;
     if (sent >= remaining) {
       t += remaining / bw_bps;

@@ -204,8 +204,8 @@ double CopaPolicy::target_rate_pkts(const MiView& mi, netgym::Rng&) {
 }
 
 double OraclePolicy::target_rate_pkts(const MiView&, netgym::Rng&) {
-  const double span = env_.trace().duration_s();
-  const double bw = env_.trace().bandwidth_at(std::fmod(env_.clock_s(), span));
+  const double bw =
+      netgym::Trace::Cursor(env_.trace()).bandwidth_at(env_.clock_s());
   return std::max(bw, 0.01) * 1e6 / CcEnv::kPacketBits;
 }
 

@@ -86,10 +86,9 @@ CcEnv::CcEnv(CcEnvConfig config, netgym::Trace trace, std::uint64_t seed)
 }
 
 double CcEnv::current_rtt_s() const {
-  const double span = trace_.duration_s();
   const double bw_pkts =
-      std::max(trace_.bandwidth_at(std::fmod(clock_s_, span)), 0.01) * 1e6 /
-      kPacketBits;
+      std::max(netgym::Trace::Cursor(trace_).bandwidth_at(clock_s_), 0.01) *
+      1e6 / kPacketBits;
   return config_.min_rtt_ms / 1000.0 + queue_pkts_ / bw_pkts;
 }
 
@@ -114,14 +113,14 @@ netgym::Observation CcEnv::reset() {
 CcEnv::MiStats CcEnv::simulate_interval(double duration_s) {
   MiStats stats;
   stats.duration_s = duration_s;
-  const double span = trace_.duration_s();
+  netgym::Trace::Cursor bandwidth(trace_);
   double t = 0.0;
   double latency_acc = 0.0;   // delivered-weighted latency
   while (t < duration_s - 1e-12) {
     const double dt = std::min(kFluidSliceS, duration_s - t);
-    const double now = std::fmod(clock_s_ + t, span);
     const double bw_pkts =
-        std::max(trace_.bandwidth_at(now), 0.01) * 1e6 / kPacketBits;
+        std::max(bandwidth.bandwidth_at(clock_s_ + t), 0.01) * 1e6 /
+        kPacketBits;
 
     const double sent = rate_pkts_ * dt;
     const double random_lost = sent * config_.loss_rate;

@@ -25,12 +25,6 @@ PacketCcEnv::PacketCcEnv(CcEnvConfig config, netgym::Trace trace,
   }
 }
 
-double PacketCcEnv::bandwidth_pkts_at(double t) const {
-  const double span = trace_.duration_s();
-  return std::max(trace_.bandwidth_at(std::fmod(t, span)), 0.01) * 1e6 /
-         CcEnv::kPacketBits;
-}
-
 double PacketCcEnv::current_rtt_s() const {
   const double queue_delay =
       std::max(last_depart_s_ - clock_s_, 0.0);
@@ -56,6 +50,7 @@ PacketCcEnv::MiStats PacketCcEnv::simulate_interval(double duration_s) {
   double latency_acc = 0.0;
 
   // Emit packets at the pacing rate until the MI ends.
+  netgym::Trace::Cursor bandwidth(trace_);
   const double gap = 1.0 / rate_pkts_;
   while (next_send_s_ < end_s) {
     const double now = next_send_s_;
@@ -79,7 +74,9 @@ PacketCcEnv::MiStats PacketCcEnv::simulate_interval(double duration_s) {
       continue;
     }
 
-    const double service = 1.0 / bandwidth_pkts_at(now);
+    const double bw_pkts = std::max(bandwidth.bandwidth_at(now), 0.01) * 1e6 /
+                           CcEnv::kPacketBits;
+    const double service = 1.0 / bw_pkts;
     const double depart = std::max(now, last_depart_s_) + service;
     last_depart_s_ = depart;
     queue_departures_.push_back(depart);

@@ -52,7 +52,6 @@ class PacketCcEnv : public netgym::Env {
   void push_mi(const MiStats& stats);
   netgym::Observation make_observation() const;
   double current_rtt_s() const;
-  double bandwidth_pkts_at(double t) const;
 
   CcEnvConfig config_;
   netgym::Trace trace_;

@@ -113,12 +113,14 @@ std::vector<pid_t> Coordinator::worker_pids() const {
 }
 
 void Coordinator::spawn_worker(std::size_t index) {
+  // Close-on-exec, so no later worker inherits this worker's socket; the
+  // child clears the flag on its own end only.
   int sv[2] = {-1, -1};
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
     throw std::runtime_error(std::string("dist: socketpair failed: ") +
                              std::strerror(errno));
   }
-  // Materialize argv before fork: the child must only close/exec/_exit
+  // Materialize argv before fork: the child must only fcntl/exec/_exit
   // (threads from the netgym pool may hold locks at fork time).
   std::vector<std::string> args;
   args.push_back(options_.worker_exe);
@@ -139,7 +141,7 @@ void Coordinator::spawn_worker(std::size_t index) {
                              std::strerror(errno));
   }
   if (pid == 0) {
-    ::close(sv[0]);
+    ::fcntl(sv[1], F_SETFD, 0);
     ::execv(options_.worker_exe.c_str(), argv.data());
     _exit(127);
   }

@@ -106,7 +106,12 @@ std::string scrape_prometheus() {
 
 void MetricsEndpoint::start(int port) {
   if (running()) throw std::runtime_error("metrics endpoint already running");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Every descriptor here is close-on-exec, so a process that forks workers
+  // (dist) hands them none of the endpoint's. The listener is non-blocking:
+  // a client that resets between poll() and accept() must not block the
+  // loop (and with it stop()) in accept().
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw std::runtime_error("metrics endpoint: socket() failed");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -130,13 +135,10 @@ void MetricsEndpoint::start(int port) {
     throw std::runtime_error("metrics endpoint: getsockname() failed");
   }
   int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
+  if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
     ::close(fd);
     throw std::runtime_error("metrics endpoint: pipe() failed");
   }
-  // A client that resets between poll() and accept() must not block the
-  // loop (and with it stop()) in accept().
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
   fd_ = fd;
   stop_fd_ = pipe_fds[1];
   port_ = ntohs(bound.sin_port);
@@ -175,7 +177,8 @@ void MetricsEndpoint::serve_loop(int wake_fd) {
     paused = false;
     if ((fds[1].revents & POLLIN) != 0) return;
     if ((fds[0].revents & POLLIN) == 0) continue;
-    const int conn = ::accept(fd_, nullptr, nullptr);
+    const int conn =
+        ::accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (conn < 0) {
       if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
         Registry::instance().counter("metrics.accept_errors").add();
@@ -186,7 +189,6 @@ void MetricsEndpoint::serve_loop(int wake_fd) {
     // One 2 s deadline per request covers the head and the response, and
     // the wake pipe is polled alongside: a stalled or trickling scraper is
     // dropped at the deadline and never holds stop().
-    ::fcntl(conn, F_SETFL, ::fcntl(conn, F_GETFL) | O_NONBLOCK);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(2);
     const auto ready = [&](short events) {

@@ -402,7 +402,7 @@ std::vector<Field> snapshot_fields(
 }
 
 RunLogger::RunLogger(std::string path) : path_(std::move(path)) {
-  out_ = std::fopen(path_.c_str(), "w");
+  out_ = std::fopen(path_.c_str(), "we");  // e: dist workers must not inherit it
   if (out_ == nullptr) {
     const int err = errno;
     throw std::runtime_error("cannot write '" + path_ +

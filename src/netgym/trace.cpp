@@ -16,13 +16,15 @@ double Trace::duration_s() const {
 
 double Trace::bandwidth_at(double t) const {
   if (empty()) throw std::logic_error("Trace::bandwidth_at: empty trace");
+  return bandwidth_mbps[segment_at(t)];
+}
+
+std::size_t Trace::segment_at(double t) const {
   // First timestamp whose value exceeds t; the sample before it is in effect.
   const auto it =
       std::upper_bound(timestamps_s.begin(), timestamps_s.end(), t);
-  if (it == timestamps_s.begin()) return bandwidth_mbps.front();
-  const auto idx =
-      static_cast<std::size_t>(std::distance(timestamps_s.begin(), it)) - 1;
-  return bandwidth_mbps[idx];
+  if (it == timestamps_s.begin()) return 0;
+  return static_cast<std::size_t>(std::distance(timestamps_s.begin(), it)) - 1;
 }
 
 double Trace::mean_bandwidth() const {

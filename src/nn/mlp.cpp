@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/adam.hpp"
 #include "nn/gemm.hpp"
 
 namespace nn {
@@ -92,7 +93,7 @@ Mlp& Mlp::operator=(const Mlp& other) {
   bias_offsets_ = other.bias_offsets_;
   acts_.assign(sizes_.size(), {});
   zs_.assign(sizes_.size() - 1, {});
-  wt_scratch_.clear();
+  wt_stale_ = true;
   delta_.clear();
   prev_delta_.clear();
   cached_rows_ = 0;
@@ -134,10 +135,11 @@ const std::vector<double>& Mlp::forward_batch(const double* inputs,
     std::vector<double>& z = zs_[l];
     z.resize(n * static_cast<std::size_t>(n_out));
     if (n == 1) {
-      // Single-sample fast path: a plain dot product per output avoids the
-      // weight transpose, which would dominate at M=1. Bit-identical to the
-      // batched path in strict mode (both accumulate b[i] then ascending-j
-      // products, one rounding per step).
+      // Single-sample fast path: a plain dot product per output reads the
+      // weights in place, so a net that only ever acts one sample at a time
+      // never builds the transposes. Bit-identical to the batched path in
+      // strict mode (both accumulate b[i] then ascending-j products, one
+      // rounding per step).
       for (int i = 0; i < n_out; ++i) {
         const double* wrow = w + static_cast<std::size_t>(i) * n_in;
         double acc = b[i];
@@ -150,10 +152,8 @@ const std::vector<double>& Mlp::forward_batch(const double* inputs,
       for (std::size_t m = 0; m < n; ++m) {
         std::copy(b, b + n_out, z.begin() + m * n_out);
       }
-      wt_scratch_.resize(static_cast<std::size_t>(n_in) * n_out);
-      transpose(n_out, n_in, w, wt_scratch_.data());
-      gemm_nn(static_cast<int>(n), n_out, n_in, a.data(), wt_scratch_.data(),
-              z.data());
+      gemm_nn(static_cast<int>(n), n_out, n_in, a.data(),
+              transposed_weights() + weight_offsets_[l], z.data());
     }
     std::vector<double>& out = acts_[l + 1];
     out.resize(z.size());
@@ -167,6 +167,18 @@ const std::vector<double>& Mlp::forward_batch(const double* inputs,
   }
   cached_rows_ = n;
   return acts_.back();
+}
+
+const double* Mlp::transposed_weights() {
+  if (wt_stale_) {
+    wt_.resize(params_.size());
+    for (std::size_t l = 0; l + 1 < sizes_.size(); ++l) {
+      transpose(sizes_[l + 1], sizes_[l], params_.data() + weight_offsets_[l],
+                wt_.data() + weight_offsets_[l]);
+    }
+    wt_stale_ = false;
+  }
+  return wt_.data();
 }
 
 void Mlp::backward_batch(const double* grad_outputs, std::size_t n) {
@@ -252,6 +264,7 @@ void Mlp::load_state(const netgym::checkpoint::Snapshot& snap,
         "Mlp::load_state: parameter count mismatch (" + prefix + "params)");
   }
   params_ = params;
+  wt_stale_ = true;
   cached_rows_ = 0;
 }
 
@@ -260,6 +273,12 @@ void Mlp::set_params(const std::vector<double>& params) {
     throw std::invalid_argument("Mlp::set_params: size mismatch");
   }
   params_ = params;
+  wt_stale_ = true;
+}
+
+void Mlp::apply(Adam& optimizer) {
+  optimizer.step(params_, grads_);
+  wt_stale_ = true;
 }
 
 std::vector<double> softmax(const std::vector<double>& logits) {

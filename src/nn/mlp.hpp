@@ -9,6 +9,8 @@
 
 namespace nn {
 
+class Adam;
+
 /// Hidden-layer activation of an `Mlp`. The output layer is always linear
 /// (policy heads apply softmax themselves; value heads are scalar).
 enum class Activation { kTanh, kRelu };
@@ -25,10 +27,15 @@ enum class Activation { kTanh, kRelu };
 /// The batched entry points (`forward_batch` / `backward_batch`) run N
 /// samples through the cache-blocked GEMM kernels in nn/gemm.hpp and reuse
 /// member scratch buffers, so steady-state calls perform no heap
-/// allocations. The per-sample `forward` / `backward` are thin N=1 wrappers
-/// over the same machinery. Under the default strict math mode (see
-/// nn::MathMode) a batched pass is bit-identical to looping the per-sample
-/// one, for both outputs and accumulated gradients.
+/// allocations. A batched forward multiplies by each layer's transposed
+/// weight block, which the net keeps beside `params_` and rebuilds only on
+/// the first batched forward after the parameters change. That is why no
+/// mutable reference to the parameters leaves the class: they change only
+/// through `set_params`, `load_state`, copy-assignment and `apply`, and each
+/// marks the transposes stale. The per-sample `forward` / `backward` are thin
+/// N=1 wrappers over the same machinery. Under the default strict math mode
+/// (see nn::MathMode) a batched pass is bit-identical to looping the
+/// per-sample one, for both outputs and accumulated gradients.
 ///
 /// `forward_batch` caches the batch's per-layer activations; `backward_batch`
 /// consumes that cache, so the call pattern is forward -> backward with a
@@ -36,9 +43,10 @@ enum class Activation { kTanh, kRelu };
 /// `zero_grad()`.
 ///
 /// Copying an `Mlp` copies topology, parameters, and gradients but not the
-/// transient forward cache or scratch buffers (a copy cannot call `backward`
-/// before its own `forward`); rollout workers clone policies per job, so
-/// keeping multi-megabyte batch scratch out of the copy matters.
+/// transient forward cache, the transposed weights or scratch buffers (a copy
+/// cannot call `backward` before its own `forward`); rollout workers clone
+/// policies per job, so keeping multi-megabyte batch scratch out of the copy
+/// matters.
 class Mlp : public netgym::checkpoint::Serializable {
  public:
   /// `sizes` lists the widths of every layer, e.g. {10, 32, 32, 6} is a net
@@ -77,13 +85,16 @@ class Mlp : public netgym::checkpoint::Serializable {
 
   void zero_grad();
 
-  std::vector<double>& params() { return params_; }
   const std::vector<double>& params() const { return params_; }
   std::vector<double>& grads() { return grads_; }
   const std::vector<double>& grads() const { return grads_; }
 
   /// Replace all parameters (sizes must match); used to restore snapshots.
   void set_params(const std::vector<double>& params);
+
+  /// One optimizer step on the parameters from the accumulated gradients
+  /// (`Adam::step`; the optimizer must be sized for this net).
+  void apply(Adam& optimizer);
 
   std::size_t num_params() const { return params_.size(); }
 
@@ -97,6 +108,9 @@ class Mlp : public netgym::checkpoint::Serializable {
                   const std::string& prefix) override;
 
  private:
+  /// The transposed weight blocks (see `wt_`), rebuilt here when stale.
+  const double* transposed_weights();
+
   std::vector<int> sizes_;
   Activation activation_;
   std::vector<double> params_;
@@ -109,7 +123,12 @@ class Mlp : public netgym::checkpoint::Serializable {
   // output of layer l; zs_[l] the layer's n x width pre-activation.
   std::vector<std::vector<double>> acts_;
   std::vector<std::vector<double>> zs_;
-  std::vector<double> wt_scratch_;     // transposed weights of one layer
+  // Transposed weight blocks: layer l's n_in x n_out transpose sits at
+  // weight_offsets_[l] (bias slots unused). Derived from params_, so never
+  // copied or checkpointed; rebuilt by the first batched forward after
+  // wt_stale_ is set.
+  std::vector<double> wt_;
+  bool wt_stale_ = true;
   std::vector<double> delta_;          // n x width, dL/dz of current layer
   std::vector<double> prev_delta_;     // n x width of the layer below
   std::size_t cached_rows_ = 0;        // 0 = no valid forward cache

@@ -462,7 +462,7 @@ IterationStats A2CTrainer::run_iteration(const EnvFactory& factory) {
     }
   }
   policy_.net().backward_batch(grad_rows.data(), n);
-  actor_opt_.step(policy_.net().params(), policy_.net().grads());
+  policy_.net().apply(actor_opt_);
 
   // Critic: MSE against scaled returns. The critic's parameters have not
   // changed since the value pass above, so its cached batched forward (and
@@ -474,7 +474,7 @@ IterationStats A2CTrainer::run_iteration(const EnvFactory& factory) {
     critic_grads[i] = 2.0 * (values[i] - returns[i]) * inv_n;
   }
   critic_.backward_batch(critic_grads.data(), n);
-  critic_opt_.step(critic_.params(), critic_.grads());
+  critic_.apply(critic_opt_);
 
   stats.mean_entropy = entropy_sum * inv_n;
   finish_health_stats(batch, old_logp, returns, values, stats);
@@ -564,7 +564,7 @@ IterationStats PPOTrainer::run_iteration(const EnvFactory& factory) {
       }
     }
     policy_.net().backward_batch(grad_rows.data(), n);
-    actor_opt_.step(policy_.net().params(), policy_.net().grads());
+    policy_.net().apply(actor_opt_);
 
     // The critic also moves every epoch, so (unlike A2C's single update) its
     // values are recomputed after epoch 0 before regressing onto targets.
@@ -576,7 +576,7 @@ IterationStats PPOTrainer::run_iteration(const EnvFactory& factory) {
       critic_grads[i] = 2.0 * (epoch_values[i] - targets[i]) * inv_n;
     }
     critic_.backward_batch(critic_grads.data(), n);
-    critic_opt_.step(critic_.params(), critic_.grads());
+    critic_.apply(critic_opt_);
   }
 
   stats.mean_entropy =

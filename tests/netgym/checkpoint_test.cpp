@@ -328,8 +328,10 @@ void expect_state_round_trips(const T& source, T& target,
 TEST(SerializableRoundTrip, MlpRestoresExactParameterBits) {
   netgym::Rng rng(3);
   nn::Mlp source({4, 8, 3}, nn::Activation::kTanh, rng);
-  source.params()[0] = -0.0;
-  source.params()[1] = std::numeric_limits<double>::denorm_min();
+  std::vector<double> params = source.params();
+  params[0] = -0.0;
+  params[1] = std::numeric_limits<double>::denorm_min();
+  source.set_params(params);
   nn::Mlp target({4, 8, 3}, nn::Activation::kTanh, rng);
   expect_state_round_trips(source, target);
   for (std::size_t i = 0; i < source.params().size(); ++i) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
 
 namespace {
 
@@ -159,5 +165,96 @@ TEST(TraceGen, DeterministicGivenSeed) {
     EXPECT_EQ(ta.timestamps_s[i], tb.timestamps_s[i]);
   }
 }
+
+/// A generated trace whose bandwidth at sample i is i, so equal lookups
+/// mean the same sample, not just an equal value.
+Trace indexed(Trace trace) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace.bandwidth_mbps[i] = static_cast<double>(i);
+  }
+  return trace;
+}
+
+/// Every boundary of the wrap and the lookup: each timestamp on the first
+/// two laps, span and 2 * span, each with its nextafter neighbours; -0.0,
+/// negative times, random times in [-span, 3 * span], the infinities and NaN.
+std::vector<double> probe_times(const Trace& trace, Rng& rng) {
+  const double span = trace.duration_s();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> times;
+  const auto with_neighbours = [&](double t) {
+    times.push_back(std::nextafter(t, -inf));
+    times.push_back(t);
+    times.push_back(std::nextafter(t, inf));
+  };
+  for (double stamp : trace.timestamps_s) {
+    with_neighbours(stamp);
+    with_neighbours(stamp + span);
+  }
+  with_neighbours(0.0);
+  with_neighbours(span);
+  with_neighbours(2 * span);
+  times.push_back(-0.0);
+  times.push_back(-span);
+  times.push_back(-1e-300);
+  for (int i = 0; i < 2000; ++i) times.push_back(rng.uniform(-span, 3 * span));
+  times.push_back(inf);
+  times.push_back(-inf);
+  times.push_back(std::numeric_limits<double>::quiet_NaN());
+  return times;
+}
+
+void expect_same_bits(double got, double want, double t) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+      << "t = " << t << " got " << got << " want " << want;
+}
+
+class TraceCursor : public ::testing::TestWithParam<bool> {
+ protected:
+  Trace trace() const {
+    Rng rng(17);
+    return indexed(GetParam() ? netgym::generate_abr_trace({}, rng)
+                              : netgym::generate_cc_trace({}, rng));
+  }
+};
+
+TEST_P(TraceCursor, WrapIsFmodBitForBit) {
+  const Trace t = trace();
+  const double span = t.duration_s();
+  Rng rng(3);
+  for (double x : probe_times(t, rng)) {
+    expect_same_bits(netgym::wrap_time(x, span), std::fmod(x, span), x);
+  }
+}
+
+TEST_P(TraceCursor, MatchesWrappedBinarySearchInMonotoneOrder) {
+  const Trace t = trace();
+  Rng rng(4);
+  std::vector<double> times = probe_times(t, rng);
+  // NaN sorts nowhere; keep it last.
+  std::sort(times.begin(), times.end() - 1);
+  Trace::Cursor cursor(t);
+  for (double x : times) {
+    expect_same_bits(cursor.bandwidth_at(x),
+                     t.bandwidth_at(std::fmod(x, t.duration_s())), x);
+  }
+}
+
+TEST_P(TraceCursor, MatchesWrappedBinarySearchInRandomOrder) {
+  const Trace t = trace();
+  Rng rng(5);
+  std::vector<double> times = probe_times(t, rng);
+  std::shuffle(times.begin(), times.end(), std::mt19937_64(5));
+  Trace::Cursor cursor(t);
+  for (double x : times) {
+    expect_same_bits(cursor.bandwidth_at(x),
+                     t.bandwidth_at(std::fmod(x, t.duration_s())), x);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Generated, TraceCursor, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Abr" : "Cc";
+                         });
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "netgym/rng.hpp"
+#include "nn/adam.hpp"
 #include "nn/mlp.hpp"
 #include "rl/policy.hpp"
 
@@ -64,6 +65,29 @@ TEST(MlpAlloc, SteadyStateBatchedPassesAreAllocationFree) {
       net.backward_batch(g.data(), n);
       net.zero_grad();
     }
+  });
+  EXPECT_EQ(allocs, 0);
+}
+
+TEST(MlpAlloc, TrainingStepThenForwardIsAllocationFree) {
+  // An optimizer step marks the transposed weights stale; the next batched
+  // forward rebuilds them in the buffer the first one sized.
+  Rng rng(6);
+  Mlp net(std::vector<int>{8, 32, 32, 5}, Activation::kTanh, rng);
+  nn::Adam adam(net.num_params());
+  const int n = 32;
+  std::vector<double> x(static_cast<std::size_t>(n) * 8, 0.25);
+  std::vector<double> g(static_cast<std::size_t>(n) * 5, 0.1);
+  const auto train_step = [&] {
+    net.forward_batch(x.data(), n);
+    net.backward_batch(g.data(), n);
+    net.apply(adam);
+    net.zero_grad();
+  };
+  for (int i = 0; i < 2; ++i) train_step();  // warm-up sizes every buffer
+  const long allocs = allocations_during([&] {
+    for (int i = 0; i < 10; ++i) train_step();
+    net.forward_batch(x.data(), n);
   });
   EXPECT_EQ(allocs, 0);
 }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+
+#include "nn/adam.hpp"
 
 namespace {
 
@@ -77,16 +82,19 @@ TEST_P(MlpGradientCheck, MatchesFiniteDifferences) {
   const std::vector<double> analytic = net.grads();
 
   const double eps = 1e-6;
-  std::vector<double>& params = net.params();
+  std::vector<double> params = net.params();
   // Spot-check a spread of parameters (checking all ~1000 is wasteful).
   for (std::size_t i = 0; i < params.size();
        i += std::max<std::size_t>(params.size() / 37, 1)) {
     const double original = params[i];
     params[i] = original + eps;
+    net.set_params(params);
     const double up = loss();
     params[i] = original - eps;
+    net.set_params(params);
     const double down = loss();
     params[i] = original;
+    net.set_params(params);
     const double numeric = (up - down) / (2 * eps);
     EXPECT_NEAR(analytic[i], numeric, 1e-4 * std::max(1.0, std::abs(numeric)))
         << "param index " << i;
@@ -119,6 +127,96 @@ TEST(Mlp, GradientsAccumulateAcrossBackwardCalls) {
   net.zero_grad();
   for (double g : net.grads()) EXPECT_EQ(g, 0.0);
 }
+
+/// The transposed weights a batched forward multiplies by are cached and
+/// rebuilt only when the parameters change. After every path that writes
+/// parameters, a batched forward of a net whose cache was already built must
+/// equal, bit for bit, that of a freshly built net holding the same
+/// parameters.
+class MlpTransposeCache : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  static Mlp make(std::uint64_t seed) {
+    Rng rng(seed);
+    return Mlp({6, 16, 16, 4}, Activation::kTanh, rng);
+  }
+
+  static std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+    std::vector<std::uint64_t> out;
+    for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  }
+
+  std::vector<double> inputs() const {
+    Rng rng(7);
+    std::vector<double> x(GetParam() * 6);
+    for (double& v : x) v = rng.uniform(-1.0, 1.0);
+    return x;
+  }
+
+  /// Runs a batched forward, which builds `net`'s cache from its parameters.
+  void warm(Mlp& net) const { net.forward_batch(inputs().data(), GetParam()); }
+
+  void expect_matches_fresh(Mlp& net) const {
+    const std::vector<double> x = inputs();
+    const std::vector<double> got = net.forward_batch(x.data(), GetParam());
+    Mlp fresh = make(99);
+    fresh.set_params(net.params());
+    EXPECT_EQ(bits(got), bits(fresh.forward_batch(x.data(), GetParam())));
+  }
+};
+
+TEST_P(MlpTransposeCache, OptimizerStep) {
+  Mlp net = make(1);
+  nn::Adam adam(net.num_params());
+  warm(net);
+  const std::vector<double> g(GetParam() * 4, 0.5);
+  net.backward_batch(g.data(), GetParam());
+  const std::vector<double> before = net.params();
+  net.apply(adam);
+  ASSERT_NE(net.params(), before);
+  expect_matches_fresh(net);
+}
+
+TEST_P(MlpTransposeCache, SetParams) {
+  Mlp net = make(1);
+  warm(net);
+  net.set_params(make(2).params());
+  expect_matches_fresh(net);
+}
+
+TEST_P(MlpTransposeCache, LoadState) {
+  Mlp net = make(1);
+  warm(net);
+  netgym::checkpoint::Snapshot snap;
+  make(2).save_state(snap, "net/");
+  net.load_state(snap, "net/");
+  expect_matches_fresh(net);
+}
+
+TEST_P(MlpTransposeCache, CopyAssignment) {
+  Mlp net = make(1);
+  Mlp other = make(2);
+  warm(net);
+  warm(other);
+  net = other;
+  expect_matches_fresh(net);
+}
+
+TEST_P(MlpTransposeCache, CopyAndMoveConstruction) {
+  Mlp net = make(1);
+  warm(net);
+  Mlp copy(net);
+  expect_matches_fresh(copy);
+  Mlp moved(std::move(net));
+  expect_matches_fresh(moved);
+  // The copy owns its cache: a later write to it leaves `moved` alone.
+  copy.set_params(make(2).params());
+  expect_matches_fresh(copy);
+  expect_matches_fresh(moved);
+}
+
+INSTANTIATE_TEST_SUITE_P(Batch, MlpTransposeCache,
+                         ::testing::Values(2, 16, 64));
 
 TEST(Softmax, NormalizesAndOrders) {
   const auto p = nn::softmax({1.0, 2.0, 3.0});
