@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "dist/protocol.hpp"
 #include "genet/adapter.hpp"
@@ -69,16 +70,14 @@ ItemsResult run_items(EvalState& state, const ItemsRequest& request) {
   ItemsResult result;
   result.eval_id = request.eval_id;
   result.first = request.first;
-  result.values.reserve(request.streams.size());
-  std::int64_t item = request.first;
-  for (const std::string& stream : request.streams) {
-    netgym::tracing::TraceSpan span("worker.eval_item", "dist", item++);
-    netgym::Rng item_rng;
-    item_rng.set_state(stream);
-    result.values.push_back(genet::eval_gap_item(
-        *state.adapter, *state.policy, state.setup.kind, state.setup.baseline,
-        config, item_rng));
+  netgym::tracing::TraceSpan span("worker.eval_item", "dist", request.first);
+  std::vector<netgym::Rng> streams(request.streams.size());
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    streams[i].set_state(request.streams[i]);
   }
+  result.values =
+      genet::gap_values(*state.adapter, *state.policy, state.setup.kind,
+                        state.setup.baseline, config, streams);
   return result;
 }
 

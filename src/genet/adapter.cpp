@@ -52,18 +52,23 @@ const netgym::Trace& matching_trace(const std::vector<netgym::Trace>& corpus,
 
 namespace {
 
-/// Shared engine of the evaluation helpers: serially pre-fork one RNG stream
-/// per work item, evaluate every item — in parallel when `parallel_ok` —
-/// and return per-item values in index order. Because each item consumes
-/// only its own stream, the serial and parallel paths produce bit-identical
-/// results.
-std::vector<double> forked_map(
-    int n, netgym::Rng& rng, bool parallel_ok,
-    const std::function<double(std::size_t, netgym::Rng&)>& item) {
+/// Pre-fork one RNG stream per work item, serially and in index order. Each
+/// item then consumes only its own stream, which is what makes every
+/// evaluation bit-identical at any thread count and any worker count.
+std::vector<netgym::Rng> fork_streams(int n, netgym::Rng& rng) {
   std::vector<netgym::Rng> streams;
   streams.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) streams.push_back(rng.fork());
-  std::vector<double> values(static_cast<std::size_t>(n));
+  return streams;
+}
+
+/// Evaluate `item(i, streams[i])` for every item under one "eval" span each
+/// -- on the thread pool when `parallel_ok`, serially otherwise -- and return
+/// the values in index order.
+std::vector<double> forked_map(
+    std::vector<netgym::Rng>& streams, bool parallel_ok,
+    const std::function<double(std::size_t, netgym::Rng&)>& item) {
+  std::vector<double> values(streams.size());
   const auto traced_item = [&](std::size_t i) {
     netgym::tracing::TraceSpan span("eval", "genet",
                                     static_cast<std::int64_t>(i));
@@ -104,42 +109,52 @@ E& env_as(Base& env, const char* error) {
   return *e;
 }
 
-/// Step cap of `netgym::run_episode`'s default, which the serial eval path
-/// relies on; the lockstep path must bound episodes identically.
+/// Episode step cap of every evaluation (`netgym::run_episode`'s default).
 constexpr int kEvalMaxSteps = 100000;
 
-/// One evaluation item prepared for lockstep batching: the environment the
-/// RL policy rolls through, plus an optional `finish` hook that consumes the
-/// RL episode's mean reward — running any baseline/oracle episode on the
-/// item's stream — and returns the item's value. Everything `finish` needs
-/// (reference env, baseline policy) is captured inside it; a null `finish`
-/// means the item's value is the RL mean reward itself.
+/// One evaluation item: the environment the evaluated policy rolls through,
+/// plus an optional `finish` hook that consumes that episode's mean reward
+/// -- running any baseline/oracle episode on the item's stream -- and
+/// returns the item's value. Everything `finish` needs (reference env,
+/// baseline policy) is captured inside it; a null `finish` means the item's
+/// value is the policy's mean reward itself.
 struct EvalPlan {
   std::unique_ptr<netgym::Env> rl_env;
   std::function<double(double rl_mean_reward, netgym::Rng& item_rng)> finish;
 };
 
-/// Lockstep-batched variant of `forked_map` for MLP policies: items are
-/// grouped into jobs (one policy copy and one "eval" span per job), each
-/// job's RL episodes advance together through batched forward passes, and
-/// each item's `finish` hook then runs in item order on the item's own
-/// stream. Stream discipline matches the serial path draw for draw — per
-/// item: plan-time setup draws, then RL episode draws, then finish draws —
-/// so in strict math mode the values are bit-identical to `forked_map`'s at
-/// any group size or thread count. Policies that are not `rl::MlpPolicy`
-/// fall back to `forked_map(serial_item)` unchanged.
-std::vector<double> batched_map(
-    int n, netgym::Rng& rng, netgym::Policy& policy,
-    const std::function<EvalPlan(std::size_t, netgym::Rng&)>& plan,
-    const std::function<double(std::size_t, netgym::Rng&)>& serial_item) {
+/// Builds item `i`'s plan, drawing its setup from the item's stream.
+using PlanFn = std::function<EvalPlan(std::size_t i, netgym::Rng& item_rng)>;
+
+/// The one evaluation runner. Every item draws from its own stream in the
+/// same order on both branches: the plan's setup draws, then the policy's
+/// episode, then the finish draws.
+///
+/// - `rl::MlpPolicy`: items are grouped into jobs (one policy copy and one
+///   "eval" span per job); each job's episodes advance together through
+///   batched forward passes, then each item's `finish` runs in item order.
+///   In strict math mode a batched row is bit-identical to a scalar forward,
+///   so the values do not depend on group size or thread count.
+/// - any other policy: each item runs alone (plan, `netgym::run_episode`,
+///   finish) under its own "eval" span, on the thread pool with a per-item
+///   clone when the policy is cloneable, serially on the shared instance
+///   otherwise.
+std::vector<double> run_plans(std::vector<netgym::Rng>& streams,
+                              netgym::Policy& policy, const PlanFn& plan) {
   auto* mlp = dynamic_cast<rl::MlpPolicy*>(&policy);
   if (mlp == nullptr) {
-    return forked_map(n, rng, cloneable(policy), serial_item);
+    return forked_map(
+        streams, cloneable(policy), [&](std::size_t i, netgym::Rng& item_rng) {
+          const std::unique_ptr<netgym::Policy> local = policy.clone();
+          const EvalPlan p = plan(i, item_rng);
+          const double reward =
+              netgym::run_episode(*p.rl_env, local_policy(local, policy),
+                                  item_rng, kEvalMaxSteps)
+                  .mean_reward;
+          return p.finish ? p.finish(reward, item_rng) : reward;
+        });
   }
-  std::vector<netgym::Rng> streams;
-  streams.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) streams.push_back(rng.fork());
-  const std::size_t count = static_cast<std::size_t>(n);
+  const std::size_t count = streams.size();
   std::vector<double> values(count);
   const std::size_t group = rl::lockstep_group_size(count);
   const std::size_t jobs = (count + group - 1) / group;
@@ -172,18 +187,51 @@ std::vector<double> batched_map(
   return values;
 }
 
+/// Per-item plan of a gap evaluation: the evaluated policy and the reference
+/// (baseline policy for kind "baseline", offline optimum for "optimum") see
+/// the same environment, built twice from one forked env stream; the
+/// reference's episode then draws from the item's stream after the policy's.
+PlanFn gap_plan(const TaskAdapter& task, const std::string& kind,
+                const std::string& baseline, const netgym::Config& config) {
+  if (kind != "baseline" && kind != "optimum") {
+    throw std::invalid_argument("gap evaluation: unknown kind '" + kind + "'");
+  }
+  const bool to_baseline = kind == "baseline";
+  return [&task, &baseline, &config, to_baseline](std::size_t,
+                                                  netgym::Rng& item_rng) {
+    netgym::Rng env_rng = item_rng.fork();
+    netgym::Rng env_rng2 = env_rng;
+    EvalPlan p;
+    p.rl_env = task.make_env(config, env_rng);
+    std::shared_ptr<netgym::Env> env_ref = task.make_env(config, env_rng2);
+    if (to_baseline) {
+      std::shared_ptr<netgym::Policy> rule =
+          task.make_baseline(baseline, *env_ref);
+      p.finish = [env_ref, rule](double r_rl, netgym::Rng& rng) {
+        return netgym::run_episode(*env_ref, *rule, rng, kEvalMaxSteps)
+                   .mean_reward -
+               r_rl;
+      };
+    } else {
+      p.finish = [&task, env_ref](double r_rl, netgym::Rng& rng) {
+        return task.optimal_mean_reward(*env_ref, rng) - r_rl;
+      };
+    }
+    return p;
+  };
+}
+
 GapEvalHook g_gap_eval_hook;
 
 /// Route a gap evaluation through the distributed hook when the whole
 /// computation is reconstructible worker-side; nullopt keeps the in-process
-/// path. The item streams are forked here -- serially, in index order, the
-/// same pre-fork the in-process paths do -- BEFORE anything ships, so the
-/// hook's values depend only on the stream states and the request content:
-/// worker count, assignment order, and worker death cannot change them.
+/// path. The caller forked `streams` before anything ships, so the hook's
+/// values depend only on the stream states and the request content: worker
+/// count, assignment order, and worker death cannot change them.
 std::optional<std::vector<double>> dist_gap_eval(
-    const TaskAdapter& task, netgym::Policy& policy, const char* kind,
-    const std::string& baseline, const netgym::Config& config, int n,
-    netgym::Rng& rng) {
+    const TaskAdapter& task, netgym::Policy& policy, const std::string& kind,
+    const std::string& baseline, const netgym::Config& config,
+    const std::vector<netgym::Rng>& streams) {
   if (!g_gap_eval_hook) return std::nullopt;
   const auto* mlp = dynamic_cast<const rl::MlpPolicy*>(&policy);
   if (mlp == nullptr) return std::nullopt;
@@ -195,15 +243,28 @@ std::optional<std::vector<double>> dist_gap_eval(
   req.config = config.values;
   req.policy_params = mlp->snapshot();
   req.greedy = mlp->greedy();
-  req.stream_states.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) req.stream_states.push_back(rng.fork().state());
+  req.stream_states.reserve(streams.size());
+  for (const netgym::Rng& s : streams) req.stream_states.push_back(s.state());
   std::vector<double> values = g_gap_eval_hook(req);
-  if (values.size() != static_cast<std::size_t>(n)) {
+  if (values.size() != streams.size()) {
     throw std::runtime_error("gap eval hook returned " +
                              std::to_string(values.size()) + " values for " +
-                             std::to_string(n) + " items");
+                             std::to_string(streams.size()) + " items");
   }
   return values;
+}
+
+/// gap_to_baseline / gap_to_optimum: the mean gap over `n` item streams
+/// forked from `rng`, evaluated by the hook or in process.
+double mean_gap(const TaskAdapter& task, netgym::Policy& rl_policy,
+                const std::string& kind, const std::string& baseline,
+                const netgym::Config& config, int n, netgym::Rng& rng) {
+  std::vector<netgym::Rng> streams = fork_streams(n, rng);
+  if (const auto distributed =
+          dist_gap_eval(task, rl_policy, kind, baseline, config, streams)) {
+    return mean_of(*distributed);
+  }
+  return mean_of(gap_values(task, rl_policy, kind, baseline, config, streams));
 }
 
 }  // namespace
@@ -216,34 +277,13 @@ bool gap_eval_hook_installed() {
   return static_cast<bool>(g_gap_eval_hook);
 }
 
-double eval_gap_item(const TaskAdapter& task, netgym::Policy& policy,
-                     const std::string& kind, const std::string& baseline,
-                     const netgym::Config& config, netgym::Rng& item_rng) {
-  // Both policies see the same environment instance (fresh copy each); the
-  // draw order -- env fork, RL episode, then reference episode, all on the
-  // item's stream -- must stay identical to the lockstep plan/finish split
-  // in gap_to_baseline/gap_to_optimum above.
-  netgym::Rng env_rng = item_rng.fork();
-  netgym::Rng env_rng2 = env_rng;
-  if (kind == "baseline") {
-    auto env_rl = task.make_env(config, env_rng);
-    auto env_rule = task.make_env(config, env_rng2);
-    auto rule = task.make_baseline(baseline, *env_rule);
-    const double r_rl =
-        netgym::run_episode(*env_rl, policy, item_rng).mean_reward;
-    const double r_rule =
-        netgym::run_episode(*env_rule, *rule, item_rng).mean_reward;
-    return r_rule - r_rl;
-  }
-  if (kind == "optimum") {
-    auto env_rl = task.make_env(config, env_rng);
-    auto env_opt = task.make_env(config, env_rng2);
-    const double r_rl =
-        netgym::run_episode(*env_rl, policy, item_rng).mean_reward;
-    const double r_opt = task.optimal_mean_reward(*env_opt, item_rng);
-    return r_opt - r_rl;
-  }
-  throw std::invalid_argument("eval_gap_item: unknown kind '" + kind + "'");
+std::vector<double> gap_values(const TaskAdapter& task,
+                               netgym::Policy& rl_policy,
+                               const std::string& kind,
+                               const std::string& baseline,
+                               const netgym::Config& config,
+                               std::vector<netgym::Rng>& streams) {
+  return run_plans(streams, rl_policy, gap_plan(task, kind, baseline, config));
 }
 
 std::unique_ptr<TaskAdapter> make_adapter(const std::string& task,
@@ -337,18 +377,10 @@ rl::EnvFactory TaskAdapter::factory_for(const netgym::Config& config) const {
 double test_on_config(const TaskAdapter& task, netgym::Policy& policy,
                       const netgym::Config& config, int n, netgym::Rng& rng) {
   if (n <= 0) throw std::invalid_argument("test_on_config: n must be > 0");
-  return mean_of(batched_map(
-      n, rng, policy,
-      [&](std::size_t, netgym::Rng& item_rng) {
-        EvalPlan p;
-        p.rl_env = task.make_env(config, item_rng);
-        return p;
-      },
-      [&](std::size_t, netgym::Rng& item_rng) {
-        const std::unique_ptr<netgym::Policy> local = policy.clone();
-        auto env = task.make_env(config, item_rng);
-        return netgym::run_episode(*env, local_policy(local, policy), item_rng)
-            .mean_reward;
+  std::vector<netgym::Rng> streams = fork_streams(n, rng);
+  return mean_of(
+      run_plans(streams, policy, [&](std::size_t, netgym::Rng& item_rng) {
+        return EvalPlan{task.make_env(config, item_rng), nullptr};
       }));
 }
 
@@ -358,18 +390,11 @@ double test_on_distribution(const TaskAdapter& task, netgym::Policy& policy,
   if (n <= 0) {
     throw std::invalid_argument("test_on_distribution: n must be > 0");
   }
-  return mean_of(batched_map(
-      n, rng, policy,
-      [&](std::size_t, netgym::Rng& item_rng) {
-        EvalPlan p;
-        p.rl_env = task.make_env(dist.sample(item_rng), item_rng);
-        return p;
-      },
-      [&](std::size_t, netgym::Rng& item_rng) {
-        const std::unique_ptr<netgym::Policy> local = policy.clone();
-        auto env = task.make_env(dist.sample(item_rng), item_rng);
-        return netgym::run_episode(*env, local_policy(local, policy), item_rng)
-            .mean_reward;
+  std::vector<netgym::Rng> streams = fork_streams(n, rng);
+  return mean_of(
+      run_plans(streams, policy, [&](std::size_t, netgym::Rng& item_rng) {
+        return EvalPlan{task.make_env(dist.sample(item_rng), item_rng),
+                        nullptr};
       }));
 }
 
@@ -377,19 +402,11 @@ std::vector<double> test_per_trace(const TaskAdapter& task,
                                    netgym::Policy& policy,
                                    const std::vector<netgym::Trace>& corpus,
                                    netgym::Rng& rng) {
-  return batched_map(
-      static_cast<int>(corpus.size()), rng, policy,
-      [&](std::size_t i, netgym::Rng& item_rng) {
-        EvalPlan p;
-        p.rl_env = task.make_env_from_trace(corpus[i], item_rng);
-        return p;
-      },
-      [&](std::size_t i, netgym::Rng& item_rng) {
-        const std::unique_ptr<netgym::Policy> local = policy.clone();
-        auto env = task.make_env_from_trace(corpus[i], item_rng);
-        return netgym::run_episode(*env, local_policy(local, policy), item_rng)
-            .mean_reward;
-      });
+  std::vector<netgym::Rng> streams =
+      fork_streams(static_cast<int>(corpus.size()), rng);
+  return run_plans(streams, policy, [&](std::size_t i, netgym::Rng& item_rng) {
+    return EvalPlan{task.make_env_from_trace(corpus[i], item_rng), nullptr};
+  });
 }
 
 double gap_to_baseline(const TaskAdapter& task, netgym::Policy& rl_policy,
@@ -397,87 +414,44 @@ double gap_to_baseline(const TaskAdapter& task, netgym::Policy& rl_policy,
                        const netgym::Config& config, int n,
                        netgym::Rng& rng) {
   if (n <= 0) throw std::invalid_argument("gap_to_baseline: n must be > 0");
-  if (const auto distributed = dist_gap_eval(task, rl_policy, "baseline",
-                                             baseline_name, config, n, rng)) {
-    return mean_of(*distributed);
-  }
-  return mean_of(batched_map(
-      n, rng, rl_policy,
-      [&](std::size_t, netgym::Rng& item_rng) {
-        // Both policies see the same environment instance (fresh copy each).
-        netgym::Rng env_rng = item_rng.fork();
-        netgym::Rng env_rng2 = env_rng;
-        EvalPlan p;
-        p.rl_env = task.make_env(config, env_rng);
-        std::shared_ptr<netgym::Env> env_rule =
-            task.make_env(config, env_rng2);
-        std::shared_ptr<netgym::Policy> baseline =
-            task.make_baseline(baseline_name, *env_rule);
-        p.finish = [env_rule, baseline](double r_rl, netgym::Rng& rng2) {
-          const double r_rule =
-              netgym::run_episode(*env_rule, *baseline, rng2).mean_reward;
-          return r_rule - r_rl;
-        };
-        return p;
-      },
-      [&](std::size_t, netgym::Rng& item_rng) {
-        const std::unique_ptr<netgym::Policy> local = rl_policy.clone();
-        return eval_gap_item(task, local_policy(local, rl_policy), "baseline",
-                             baseline_name, config, item_rng);
-      }));
+  return mean_gap(task, rl_policy, "baseline", baseline_name, config, n, rng);
 }
 
 double gap_to_optimum(const TaskAdapter& task, netgym::Policy& rl_policy,
                       const netgym::Config& config, int n, netgym::Rng& rng) {
   if (n <= 0) throw std::invalid_argument("gap_to_optimum: n must be > 0");
-  if (const auto distributed =
-          dist_gap_eval(task, rl_policy, "optimum", "", config, n, rng)) {
-    return mean_of(*distributed);
-  }
-  return mean_of(batched_map(
-      n, rng, rl_policy,
-      [&](std::size_t, netgym::Rng& item_rng) {
-        netgym::Rng env_rng = item_rng.fork();
-        netgym::Rng env_rng2 = env_rng;
-        EvalPlan p;
-        p.rl_env = task.make_env(config, env_rng);
-        std::shared_ptr<netgym::Env> env_opt = task.make_env(config, env_rng2);
-        p.finish = [&task, env_opt](double r_rl, netgym::Rng& rng2) {
-          return task.optimal_mean_reward(*env_opt, rng2) - r_rl;
-        };
-        return p;
-      },
-      [&](std::size_t, netgym::Rng& item_rng) {
-        const std::unique_ptr<netgym::Policy> local = rl_policy.clone();
-        return eval_gap_item(task, local_policy(local, rl_policy), "optimum",
-                             "", config, item_rng);
-      }));
+  return mean_gap(task, rl_policy, "optimum", "", config, n, rng);
 }
 
 double gap_between(const TaskAdapter& task, netgym::Policy& policy,
                    netgym::Policy& reference, const netgym::Config& config,
                    int n, netgym::Rng& rng) {
   if (n <= 0) throw std::invalid_argument("gap_between: n must be > 0");
-  // Deliberately not lockstep-batched: both episodes draw from the shared
-  // item stream inside one expression whose operand order the compiler
-  // chose, so splitting them across a plan/finish boundary could silently
-  // reorder draws (and `reference` is often not an MLP anyway).
+  // Not an EvalPlan: the reference's episode draws from the item stream
+  // before the policy's, the reverse of the plan/finish order.
   const bool parallel_ok = cloneable(policy) && cloneable(reference);
+  std::vector<netgym::Rng> streams = fork_streams(n, rng);
   return mean_of(forked_map(
-      n, rng, parallel_ok, [&](std::size_t, netgym::Rng& item_rng) {
+      streams, parallel_ok, [&](std::size_t, netgym::Rng& item_rng) {
         const std::unique_ptr<netgym::Policy> local = policy.clone();
         const std::unique_ptr<netgym::Policy> local_ref = reference.clone();
         netgym::Rng env_rng = item_rng.fork();
         netgym::Rng env_rng2 = env_rng;
         auto env_policy = task.make_env(config, env_rng);
         auto env_reference = task.make_env(config, env_rng2);
-        return netgym::run_episode(*env_reference,
-                                   local_policy(local_ref, reference),
-                                   item_rng)
-                   .mean_reward -
-               netgym::run_episode(*env_policy, local_policy(local, policy),
-                                   item_rng)
-                   .mean_reward;
+        // Two statements, reference first: C++ leaves the evaluation order
+        // of the operands of `-` unspecified, and both episodes draw from
+        // `item_rng`. This order gives the self-play values pinned in
+        // eval_runner_test.
+        const double r_reference =
+            netgym::run_episode(*env_reference,
+                                local_policy(local_ref, reference), item_rng)
+                .mean_reward;
+        const double r_policy =
+            netgym::run_episode(*env_policy, local_policy(local, policy),
+                                item_rng)
+                .mean_reward;
+        return r_reference - r_policy;
       }));
 }
 

@@ -263,8 +263,10 @@ void ActorCriticBase::finish_health_stats(const RolloutBatch& batch,
       batch.empty()) {
     return;
   }
-  UpdateHealth& h = stats.health;
-  h.computed = true;
+  netgym::health::IterationHealth& h = stats.health.emplace();
+  h.step = iteration_count_;
+  h.mean_entropy = stats.mean_entropy;
+  h.mean_episode_reward = stats.mean_episode_reward;
   h.actor_grad_norm = actor_opt_.last_grad_norm();
   h.actor_grad_norm_clipped = actor_opt_.last_clipped_grad_norm();
   h.critic_grad_norm = critic_opt_.last_grad_norm();
@@ -354,24 +356,8 @@ IterationStats ActorCriticBase::train_iteration(const EnvFactory& factory) {
   // Health watchdog: strictly observational rule evaluation on the stats the
   // update just produced. Runs after all stochastic work; under fail-fast a
   // non-finite sentinel throws HealthError out of this call.
-  if (stats.health.computed) {
-    netgym::health::IterationHealth h;
-    h.step = iteration_count_;
-    h.mean_entropy = stats.mean_entropy;
-    h.mean_episode_reward = stats.mean_episode_reward;
-    h.actor_grad_norm = stats.health.actor_grad_norm;
-    h.actor_grad_norm_clipped = stats.health.actor_grad_norm_clipped;
-    h.critic_grad_norm = stats.health.critic_grad_norm;
-    h.critic_grad_norm_clipped = stats.health.critic_grad_norm_clipped;
-    h.approx_kl = stats.health.approx_kl;
-    h.explained_variance = stats.health.explained_variance;
-    h.non_finite = stats.health.non_finite;
-    h.non_finite_what = stats.health.non_finite_what;
-    ++iteration_count_;
-    netgym::health::Watchdog::instance().observe(h);
-    return stats;
-  }
   ++iteration_count_;
+  if (stats.health) netgym::health::Watchdog::instance().observe(*stats.health);
   return stats;
 }
 

@@ -2,10 +2,12 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "netgym/env.hpp"
+#include "netgym/health.hpp"
 #include "nn/adam.hpp"
 #include "rl/policy.hpp"
 #include "rl/rollout.hpp"
@@ -41,22 +43,6 @@ struct TrainerOptions {
   double gae_lambda = 0.95;
 };
 
-/// Per-update training-health statistics, filled by the trainers only while
-/// the netgym::health watchdog is enabled (they cost extra forward passes
-/// and parameter scans; none of it consumes RNG or mutates training state,
-/// so enabling them leaves the trained parameters bit-identical).
-struct UpdateHealth {
-  bool computed = false;
-  double actor_grad_norm = 0.0;          ///< pre-clip L2 norm
-  double actor_grad_norm_clipped = 0.0;  ///< after Adam's max-norm rescale
-  double critic_grad_norm = 0.0;
-  double critic_grad_norm_clipped = 0.0;
-  double approx_kl = 0.0;           ///< mean(logp_old - logp_new), taken actions
-  double explained_variance = 0.0;  ///< 1 - Var(ret - v) / Var(ret)
-  bool non_finite = false;          ///< NaN/Inf in losses or parameters
-  std::string non_finite_what;
-};
-
 /// Summary of one training iteration.
 struct IterationStats {
   double mean_episode_reward = 0.0;
@@ -66,7 +52,11 @@ struct IterationStats {
   int steps = 0;
   double rollout_seconds = 0.0;  ///< wall clock spent collecting the batch
   double update_seconds = 0.0;   ///< wall clock spent in gradient updates
-  UpdateHealth health;           ///< filled only when health::enabled()
+  /// Present only when the netgym::health watchdog is enabled: its
+  /// statistics cost extra forward passes and parameter scans, none of which
+  /// consumes RNG or mutates training state, so the trained parameters are
+  /// bit-identical either way.
+  std::optional<netgym::health::IterationHealth> health;
 };
 
 /// Shannon entropy of a probability vector in nats. Entries at (numerically)
@@ -148,7 +138,8 @@ class ActorCriticBase : public netgym::checkpoint::Serializable {
   /// (implementations call this right after collecting a batch).
   void record_episode_rewards(const RolloutBatch& batch);
 
-  /// Fill `stats.health` from the just-finished update: gradient norms read
+  /// Fill `stats.health` from the just-finished update: the iteration index,
+  /// entropy and episode reward already in `stats`, gradient norms read
   /// off both optimizers, approximate update-KL of the post-update policy
   /// against the pre-update log-probs in `old_logp`, explained variance of
   /// `values` against the regression `targets`, and non-finite sentinels

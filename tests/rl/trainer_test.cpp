@@ -253,14 +253,17 @@ TEST(Trainers, HealthStatsAreObservationalAndLeaveParamsIdentical) {
   health::Watchdog::instance().disable();
   health::Watchdog::instance().reset();
 
-  EXPECT_TRUE(last.health.computed);
-  EXPECT_GT(last.health.actor_grad_norm, 0.0);
-  EXPECT_GT(last.health.critic_grad_norm, 0.0);
-  EXPECT_LE(last.health.actor_grad_norm_clipped,
-            last.health.actor_grad_norm + 1e-12);
-  EXPECT_TRUE(std::isfinite(last.health.approx_kl));
-  EXPECT_TRUE(std::isfinite(last.health.explained_variance));
-  EXPECT_FALSE(last.health.non_finite);
+  ASSERT_TRUE(last.health.has_value());
+  EXPECT_EQ(last.health->step, 2);
+  EXPECT_EQ(last.health->mean_entropy, last.mean_entropy);
+  EXPECT_EQ(last.health->mean_episode_reward, last.mean_episode_reward);
+  EXPECT_GT(last.health->actor_grad_norm, 0.0);
+  EXPECT_GT(last.health->critic_grad_norm, 0.0);
+  EXPECT_LE(last.health->actor_grad_norm_clipped,
+            last.health->actor_grad_norm + 1e-12);
+  EXPECT_TRUE(std::isfinite(last.health->approx_kl));
+  EXPECT_TRUE(std::isfinite(last.health->explained_variance));
+  EXPECT_FALSE(last.health->non_finite);
   // The monitored run's parameters are bit-identical to the unmonitored
   // one's: the health layer is strictly observational.
   EXPECT_EQ(plain.snapshot(), monitored.snapshot());
@@ -281,11 +284,11 @@ TEST(Trainers, PpoHealthStatsComputedAndObservational) {
   health::Watchdog::instance().disable();
   health::Watchdog::instance().reset();
 
-  EXPECT_TRUE(last.health.computed);
+  ASSERT_TRUE(last.health.has_value());
   // PPO moves the policy, so the post-update KL against the pre-update
   // log-probs is (weakly) informative -- and must be finite.
-  EXPECT_TRUE(std::isfinite(last.health.approx_kl));
-  EXPECT_FALSE(last.health.non_finite);
+  EXPECT_TRUE(std::isfinite(last.health->approx_kl));
+  EXPECT_FALSE(last.health->non_finite);
   EXPECT_EQ(plain.snapshot(), monitored.snapshot());
 }
 
