@@ -88,9 +88,14 @@ void ThreadPool::for_each(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // One job at a time: a second non-worker caller blocks here until the
-  // current job fully drains, instead of overwriting its state.
-  std::lock_guard<std::mutex> job_lock(job_serial_mu_);
+  // One job at a time: while another caller's job holds the pool, this
+  // caller runs its own items inline instead of waiting for that job to
+  // drain. Items touch only per-index state, so the results are the same.
+  std::unique_lock<std::mutex> job_lock(job_serial_mu_, std::try_to_lock);
+  if (!job_lock.owns_lock()) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_fn_ = &fn;

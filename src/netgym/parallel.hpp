@@ -25,7 +25,8 @@ namespace netgym {
 ///
 /// Nested `for_each` calls issued from inside a worker run inline on that
 /// worker, so composed parallel loops (a bench sweep whose body trains a
-/// policy) never deadlock and never oversubscribe.
+/// policy) never deadlock and never oversubscribe. A busy pool does the same
+/// for a second outside caller (see `for_each`).
 class ThreadPool {
  public:
   /// Creates `threads - 1` workers (the caller is the remaining thread);
@@ -42,8 +43,9 @@ class ThreadPool {
   /// Run `fn(0) .. fn(n-1)`, possibly in parallel; blocks until every item
   /// completed. The first exception thrown by any item is rethrown here
   /// (remaining items still run). Safe to call from inside a running item
-  /// (the nested call runs inline) and from concurrent non-worker threads
-  /// (their jobs serialize).
+  /// (the nested call runs inline) and from concurrent non-worker threads:
+  /// while one caller's job holds the pool, another caller runs its items
+  /// inline on its own thread, so no caller ever waits on another's job.
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -53,9 +55,9 @@ class ThreadPool {
   int threads_;
   std::vector<std::thread> workers_;
 
-  /// Held by the publishing caller for a job's whole lifetime, so two
-  /// non-worker threads submitting jobs concurrently serialize instead of
-  /// clobbering each other's job state.
+  /// Held by the publishing caller for a job's whole lifetime; a second
+  /// non-worker caller that cannot take it runs its job inline instead of
+  /// clobbering this job's state.
   std::mutex job_serial_mu_;
 
   std::mutex mu_;
@@ -83,9 +85,10 @@ int num_threads();
 void set_num_threads(int n);
 
 /// Run `fn(i)` for `i` in `[0, n)` on the global pool. Serial when the pool
-/// has one thread, when `n <= 1`, or when called from inside a pool worker;
-/// parallel otherwise. Blocks until all items finish and rethrows the first
-/// exception. Items must only touch per-index state.
+/// has one thread, when `n <= 1`, when called from inside a pool worker, or
+/// when another caller's job holds the pool; parallel otherwise. Blocks until
+/// all items finish and rethrows the first exception. Items must only touch
+/// per-index state.
 void parallel_for_each(std::size_t n,
                        const std::function<void(std::size_t)>& fn);
 

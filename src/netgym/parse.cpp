@@ -58,6 +58,14 @@ bool parse_f64(std::string_view text, double& out) {
       (first < '0' || first > '9')) {
     return false;
   }
+  // strtod also reads C99 hex floats ("0x1p-2"); a knob value is decimal, as
+  // parse_i64's are.
+  const std::string_view digits =
+      first == '+' || first == '-' ? text.substr(1) : text;
+  if (digits.size() >= 2 && digits[0] == '0' &&
+      (digits[1] == 'x' || digits[1] == 'X')) {
+    return false;
+  }
   const std::string buf(text);
   errno = 0;
   char* end = nullptr;

@@ -8,9 +8,10 @@ namespace netgym {
 
 // Strict numeric parsing shared by every knob surface (CLI flags, environment
 // variables, daemon options). The contract, matching genet_cli's validated
-// flag parsing: the *entire* string must be consumed (trailing junk like
-// "2x" is an error, leading whitespace follows strtoll's rules), overflow is
-// an error, and range violations are errors -- never a silent fallback.
+// flag parsing: a value is a decimal number, and the *entire* string must be
+// consumed (leading whitespace and trailing junk like "2x" are errors, as are
+// hex spellings), overflow is an error, and range violations are errors --
+// never a silent fallback.
 // Environment-variable knobs configure long-lived processes (genet_serve), so
 // a typo'd value must kill the process with a clear message, not quietly
 // select a default.
@@ -33,10 +34,10 @@ std::int64_t parse_i64_in_range(const char* what, std::string_view text,
 std::int64_t env_i64(const char* name, std::int64_t fallback, std::int64_t lo,
                      std::int64_t hi);
 
-/// Parse `text` as a finite double, requiring the whole string to be
+/// Parse `text` as a finite decimal double, requiring the whole string to be
 /// consumed (mirrors parse_i64: no leading whitespace, trailing junk is an
-/// error). Overflow/underflow (ERANGE) and non-finite results ("inf", "nan")
-/// are errors; `out` is untouched on failure.
+/// error). Hex floats ("0x1p-2"), overflow/underflow (ERANGE) and non-finite
+/// results ("inf", "nan") are errors; `out` is untouched on failure.
 bool parse_f64(std::string_view text, double& out);
 
 /// Parse `text` into [lo, hi], throwing std::invalid_argument naming `what`

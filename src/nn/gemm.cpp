@@ -103,7 +103,7 @@ inline Lanes2 load2(const double* p) {
 }
 
 /// R rows of C += A·B from row m0, where row m's k-th factor is
-/// A[m * a_row_stride + k * a_k_stride] (gemm_nn: K, 1; gemm_tn: 1, M).
+/// A[m * a_row_stride + k * a_k_stride] (gemm_nn: K, 1; gemm_tn: 1, lda).
 /// Each 8-column tile holds R x 8 accumulators, so a B row segment is
 /// loaded once per k for all R rows. Every element still receives its
 /// addends in ascending-k order, one multiply and one add each, so this is
@@ -169,9 +169,9 @@ void gemm_nn_scalar(int M, int N, int K, const double* A, const double* B,
   scalar_gemm(M, N, K, A, /*a_row_stride=*/K, /*a_k_stride=*/1, B, C);
 }
 
-void gemm_tn_scalar(int M, int N, int K, const double* A, const double* B,
-                    double* C) {
-  scalar_gemm(M, N, K, A, /*a_row_stride=*/1, /*a_k_stride=*/M, B, C);
+void gemm_tn_scalar(int M, int N, int K, const double* A, int lda,
+                    const double* B, double* C) {
+  scalar_gemm(M, N, K, A, /*a_row_stride=*/1, /*a_k_stride=*/lda, B, C);
 }
 
 }  // namespace detail
@@ -190,17 +190,17 @@ void gemm_nn(int M, int N, int K, const double* A, const double* B,
   detail::gemm_nn_scalar(M, N, K, A, B, C);
 }
 
-void gemm_tn(int M, int N, int K, const double* A, const double* B,
+void gemm_tn(int M, int N, int K, const double* A, int lda, const double* B,
              double* C) {
   if (cpu_has_avx2_fma()) {
     if (math_mode() == MathMode::kFast) {
-      detail::gemm_tn_avx2(M, N, K, A, B, C);
+      detail::gemm_tn_avx2(M, N, K, A, lda, B, C);
     } else {
-      detail::gemm_tn_avx2_strict(M, N, K, A, B, C);
+      detail::gemm_tn_avx2_strict(M, N, K, A, lda, B, C);
     }
     return;
   }
-  detail::gemm_tn_scalar(M, N, K, A, B, C);
+  detail::gemm_tn_scalar(M, N, K, A, lda, B, C);
 }
 
 void transpose(int rows, int cols, const double* src, double* dst) {

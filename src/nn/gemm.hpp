@@ -46,8 +46,9 @@ const char* active_kernel_name();
 
 // ---------------------------------------------------------------------------
 // Batched GEMM primitives. All matrices are dense row-major with no padding
-// (leading dimension == column count). All routines ACCUMULATE into C; the
-// caller initializes C (with zeros, or with a broadcast bias row).
+// (leading dimension == column count), except gemm_tn's A, which takes its
+// row stride. All routines ACCUMULATE into C; the caller initializes C (with
+// zeros, or with a broadcast bias row).
 // ---------------------------------------------------------------------------
 
 /// C (M x N) += A (M x K) · B (K x N).
@@ -58,13 +59,17 @@ const char* active_kernel_name();
 /// a batch is split across calls.
 void gemm_nn(int M, int N, int K, const double* A, const double* B, double* C);
 
-/// C (M x N) += Aᵀ · B where A is K x M and B is K x N, i.e.
-/// C[m][n] += sum_k A[k][m] * B[k][n].
+/// C (M x N) += Aᵀ · B where A is K x M with row stride `lda` (>= M) and B
+/// is K x N, i.e. C[m][n] += sum_k A[k * lda + m] * B[k][n].
 ///
 /// Strict contract: the k (sample) dimension is accumulated in ascending
 /// order into C, reproducing bit-for-bit the per-sample rank-1 updates
-/// `for k: C[m][n] += A[k][m] * B[k][n]` of the scalar backward pass.
-void gemm_tn(int M, int N, int K, const double* A, const double* B, double* C);
+/// `for k: C[m][n] += A[k][m] * B[k][n]` of the scalar backward pass. Each
+/// row of C depends only on the matching column of A, so a caller may split
+/// C's rows across calls (A offset by the first row, `lda` unchanged) without
+/// changing a bit, in either math mode.
+void gemm_tn(int M, int N, int K, const double* A, int lda, const double* B,
+             double* C);
 
 /// dst (cols x rows) = srcᵀ for src (rows x cols). Used to pre-transpose
 /// weight matrices once per batched forward so the inner kernels stream
@@ -76,8 +81,8 @@ namespace detail {
 // the fallback the runtime dispatcher uses when AVX2+FMA is unavailable.
 void gemm_nn_scalar(int M, int N, int K, const double* A, const double* B,
                     double* C);
-void gemm_tn_scalar(int M, int N, int K, const double* A, const double* B,
-                    double* C);
+void gemm_tn_scalar(int M, int N, int K, const double* A, int lda,
+                    const double* B, double* C);
 // AVX2 kernels, compiled only when the toolchain supports the flags (they
 // degrade to the scalar kernels otherwise — see gemm_avx2.cpp). Never call
 // directly without a cpu_has_avx2_fma() check. The _strict variants use
@@ -85,12 +90,12 @@ void gemm_tn_scalar(int M, int N, int K, const double* A, const double* B,
 // variants use FMA (fast mode only).
 void gemm_nn_avx2(int M, int N, int K, const double* A, const double* B,
                   double* C);
-void gemm_tn_avx2(int M, int N, int K, const double* A, const double* B,
-                  double* C);
+void gemm_tn_avx2(int M, int N, int K, const double* A, int lda,
+                  const double* B, double* C);
 void gemm_nn_avx2_strict(int M, int N, int K, const double* A, const double* B,
                          double* C);
-void gemm_tn_avx2_strict(int M, int N, int K, const double* A, const double* B,
-                         double* C);
+void gemm_tn_avx2_strict(int M, int N, int K, const double* A, int lda,
+                         const double* B, double* C);
 bool avx2_kernels_compiled();
 }  // namespace detail
 

@@ -117,7 +117,7 @@ inline __m256i lane_mask(int lanes) {
 /// tail (`Masked`) loads and stores only the lanes in `lo`/`hi`; masked-off
 /// lanes are never read or written.
 template <bool UseFma, int R, bool Masked>
-inline void tn_block(int M, int N, int K, int m0, int n0, __m256i lo,
+inline void tn_block(int lda, int N, int K, int m0, int n0, __m256i lo,
                      __m256i hi, const double* A, const double* B,
                      double* C) {
   const auto load = [&](const double* p, __m256i mask) {
@@ -134,7 +134,7 @@ inline void tn_block(int M, int N, int K, int m0, int n0, __m256i lo,
     const double* b = B + static_cast<std::size_t>(k) * N + n0;
     const __m256d b0 = load(b, lo);
     const __m256d b1 = load(b + 4, hi);
-    const double* a = A + static_cast<std::size_t>(k) * M + m0;
+    const double* a = A + static_cast<std::size_t>(k) * lda + m0;
     for (int r = 0; r < R; ++r) {
       const __m256d f = _mm256_set1_pd(a[r]);
       acc[r][0] = mac<UseFma>(f, b0, acc[r][0]);
@@ -156,16 +156,16 @@ inline void tn_block(int M, int N, int K, int m0, int n0, __m256i lo,
 /// R output rows of gemm_tn from m0: full 8-column blocks, then one masked
 /// block for the N % 8 tail columns.
 template <bool UseFma, int R>
-inline void tn_rows(int M, int N, int K, int m0, const double* A,
+inline void tn_rows(int lda, int N, int K, int m0, const double* A,
                     const double* B, double* C) {
   const __m256i all = _mm256_set1_epi64x(-1);
   int n0 = 0;
   for (; n0 + 8 <= N; n0 += 8) {
-    tn_block<UseFma, R, false>(M, N, K, m0, n0, all, all, A, B, C);
+    tn_block<UseFma, R, false>(lda, N, K, m0, n0, all, all, A, B, C);
   }
   if (n0 < N) {
     const int tail = N - n0;
-    tn_block<UseFma, R, true>(M, N, K, m0, n0, lane_mask(tail < 4 ? tail : 4),
+    tn_block<UseFma, R, true>(lda, N, K, m0, n0, lane_mask(tail < 4 ? tail : 4),
                               lane_mask(tail > 4 ? tail - 4 : 0), A, B, C);
   }
 }
@@ -192,21 +192,21 @@ inline void gemm_rows(int M, int N, int K, const double* A, long a_row_stride,
 /// of 1) runs the row kernel: with only 2 accumulators per 8 columns a
 /// 1-row block is add-latency bound, while the row kernel keeps 4 chains.
 template <bool UseFma>
-void gemm_tn_blocked(int M, int N, int K, const double* A, const double* B,
-                     double* C) {
+void gemm_tn_blocked(int M, int N, int K, const double* A, int lda,
+                     const double* B, double* C) {
   int m0 = 0;
-  for (; m0 + 4 <= M; m0 += 4) tn_rows<UseFma, 4>(M, N, K, m0, A, B, C);
+  for (; m0 + 4 <= M; m0 += 4) tn_rows<UseFma, 4>(lda, N, K, m0, A, B, C);
   switch (M - m0) {
     case 3:
-      tn_rows<UseFma, 3>(M, N, K, m0, A, B, C);
+      tn_rows<UseFma, 3>(lda, N, K, m0, A, B, C);
       break;
     case 2:
-      tn_rows<UseFma, 2>(M, N, K, m0, A, B, C);
+      tn_rows<UseFma, 2>(lda, N, K, m0, A, B, C);
       break;
     case 1:
-      // A[k][m0] walks column m0 of the K x M matrix: k stride M.
+      // A[k][m0] walks column m0 of the K x M matrix: k stride lda.
       gemm_rows<UseFma>(1, N, K, A + m0, /*a_row_stride=*/1,
-                        /*a_k_stride=*/M, B,
+                        /*a_k_stride=*/lda, B,
                         C + static_cast<std::size_t>(m0) * N);
       break;
   }
@@ -220,9 +220,9 @@ void gemm_nn_avx2(int M, int N, int K, const double* A, const double* B,
   gemm_rows<true>(M, N, K, A, /*a_row_stride=*/K, /*a_k_stride=*/1, B, C);
 }
 
-void gemm_tn_avx2(int M, int N, int K, const double* A, const double* B,
-                  double* C) {
-  gemm_tn_blocked<true>(M, N, K, A, B, C);
+void gemm_tn_avx2(int M, int N, int K, const double* A, int lda,
+                  const double* B, double* C) {
+  gemm_tn_blocked<true>(M, N, K, A, lda, B, C);
 }
 
 void gemm_nn_avx2_strict(int M, int N, int K, const double* A, const double* B,
@@ -230,9 +230,9 @@ void gemm_nn_avx2_strict(int M, int N, int K, const double* A, const double* B,
   gemm_rows<false>(M, N, K, A, /*a_row_stride=*/K, /*a_k_stride=*/1, B, C);
 }
 
-void gemm_tn_avx2_strict(int M, int N, int K, const double* A, const double* B,
-                         double* C) {
-  gemm_tn_blocked<false>(M, N, K, A, B, C);
+void gemm_tn_avx2_strict(int M, int N, int K, const double* A, int lda,
+                         const double* B, double* C) {
+  gemm_tn_blocked<false>(M, N, K, A, lda, B, C);
 }
 
 #else  // !GENET_AVX2_BUILD
@@ -244,9 +244,9 @@ void gemm_nn_avx2(int M, int N, int K, const double* A, const double* B,
   gemm_nn_scalar(M, N, K, A, B, C);
 }
 
-void gemm_tn_avx2(int M, int N, int K, const double* A, const double* B,
-                  double* C) {
-  gemm_tn_scalar(M, N, K, A, B, C);
+void gemm_tn_avx2(int M, int N, int K, const double* A, int lda,
+                  const double* B, double* C) {
+  gemm_tn_scalar(M, N, K, A, lda, B, C);
 }
 
 void gemm_nn_avx2_strict(int M, int N, int K, const double* A,
@@ -254,9 +254,9 @@ void gemm_nn_avx2_strict(int M, int N, int K, const double* A,
   gemm_nn_scalar(M, N, K, A, B, C);
 }
 
-void gemm_tn_avx2_strict(int M, int N, int K, const double* A,
+void gemm_tn_avx2_strict(int M, int N, int K, const double* A, int lda,
                          const double* B, double* C) {
-  gemm_tn_scalar(M, N, K, A, B, C);
+  gemm_tn_scalar(M, N, K, A, lda, B, C);
 }
 
 #endif  // GENET_AVX2_BUILD

@@ -122,18 +122,35 @@ const std::vector<double>& Mlp::forward_batch(const double* inputs,
   if (n == 0) {
     throw std::invalid_argument("Mlp::forward_batch: empty batch");
   }
+  acts_[0].resize(n * static_cast<std::size_t>(sizes_.front()));
+  for (std::size_t l = 0; l + 1 < sizes_.size(); ++l) {
+    zs_[l].resize(n * static_cast<std::size_t>(sizes_[l + 1]));
+    acts_[l + 1].resize(zs_[l].size());
+  }
+  // The row blocks only read the transposes, so a stale cache is rebuilt
+  // here, before they run; a single sample never needs it.
+  const double* wt = n == 1 ? nullptr : transposed_weights();
+  for_each_row_block(n, [&](std::size_t begin, std::size_t end) {
+    forward_rows(inputs, n, wt, begin, end);
+  });
+  cached_rows_ = n;
+  return acts_.back();
+}
+
+void Mlp::forward_rows(const double* inputs, std::size_t n, const double* wt,
+                       std::size_t begin, std::size_t end) {
   const std::size_t num_layers = sizes_.size() - 1;
-  std::vector<double>& in = acts_[0];
-  in.resize(n * static_cast<std::size_t>(sizes_.front()));
-  std::copy(inputs, inputs + in.size(), in.begin());
+  const std::size_t rows = end - begin;
+  const std::size_t in_width = static_cast<std::size_t>(sizes_.front());
+  std::copy(inputs + begin * in_width, inputs + end * in_width,
+            acts_[0].begin() + begin * in_width);
   for (std::size_t l = 0; l < num_layers; ++l) {
     const int n_in = sizes_[l];
     const int n_out = sizes_[l + 1];
     const double* w = params_.data() + weight_offsets_[l];
     const double* b = params_.data() + bias_offsets_[l];
-    const std::vector<double>& a = acts_[l];
-    std::vector<double>& z = zs_[l];
-    z.resize(n * static_cast<std::size_t>(n_out));
+    const double* a = acts_[l].data() + begin * n_in;
+    double* z = zs_[l].data() + begin * n_out;
     if (n == 1) {
       // Single-sample fast path: a plain dot product per output reads the
       // weights in place, so a net that only ever acts one sample at a time
@@ -144,29 +161,27 @@ const std::vector<double>& Mlp::forward_batch(const double* inputs,
         const double* wrow = w + static_cast<std::size_t>(i) * n_in;
         double acc = b[i];
         for (int j = 0; j < n_in; ++j) acc += wrow[j] * a[j];
-        z[static_cast<std::size_t>(i)] = acc;
+        z[i] = acc;
       }
     } else {
-      // z starts as n copies of the bias row, so the accumulating GEMM
+      // z starts as copies of the bias row, so the accumulating GEMM
       // reproduces the per-sample `acc = b[i]; acc += ...` seeding exactly.
-      for (std::size_t m = 0; m < n; ++m) {
-        std::copy(b, b + n_out, z.begin() + m * n_out);
+      for (std::size_t m = 0; m < rows; ++m) {
+        std::copy(b, b + n_out, z + m * n_out);
       }
-      gemm_nn(static_cast<int>(n), n_out, n_in, a.data(),
-              transposed_weights() + weight_offsets_[l], z.data());
+      gemm_nn(static_cast<int>(rows), n_out, n_in, a, wt + weight_offsets_[l],
+              z);
     }
-    std::vector<double>& out = acts_[l + 1];
-    out.resize(z.size());
+    double* out = acts_[l + 1].data() + begin * n_out;
+    const std::size_t count = rows * static_cast<std::size_t>(n_out);
     if (l + 1 == num_layers) {
-      std::copy(z.begin(), z.end(), out.begin());
+      std::copy(z, z + count, out);
     } else {
-      for (std::size_t i = 0; i < z.size(); ++i) {
+      for (std::size_t i = 0; i < count; ++i) {
         out[i] = activate(activation_, z[i]);
       }
     }
   }
-  cached_rows_ = n;
-  return acts_.back();
 }
 
 const double* Mlp::transposed_weights() {
@@ -200,37 +215,63 @@ void Mlp::backward_batch(const double* grad_outputs, std::size_t n) {
   delta_.resize(n * static_cast<std::size_t>(sizes_.back()));
   std::copy(grad_outputs, grad_outputs + delta_.size(), delta_.begin());
   for (std::size_t li = num_layers; li-- > 0;) {
-    const int n_in = sizes_[li];
-    const int n_out = sizes_[li + 1];
-    const double* w = params_.data() + weight_offsets_[li];
+    if (li > 0) prev_delta_.resize(n * static_cast<std::size_t>(sizes_[li]));
+    // One fork-join per layer: block b owns rows [begin, end) of the input
+    // gradient and the b-th share of the layer's output units in the
+    // parameter gradients.
+    for_each_row_block(n, [&](std::size_t begin, std::size_t end) {
+      backward_rows(li, n, begin, end);
+    });
+    if (li == 0) break;
+    std::swap(delta_, prev_delta_);
+  }
+}
+
+void Mlp::backward_rows(std::size_t li, std::size_t n, std::size_t begin,
+                        std::size_t end) {
+  const int n_in = sizes_[li];
+  const int n_out = sizes_[li + 1];
+  const std::size_t blocks = row_blocks(n);
+  const std::size_t block = begin / kRowBlock;
+  // Output units [u0, u1): the block's share, cut at multiples of 4 so the
+  // gemm_tn register blocks stay whole (some blocks may get none).
+  const std::size_t quads = (static_cast<std::size_t>(n_out) + 3) / 4;
+  const int u0 = static_cast<int>(
+      std::min<std::size_t>(quads * block / blocks * 4, n_out));
+  const int u1 = static_cast<int>(
+      std::min<std::size_t>(quads * (block + 1) / blocks * 4, n_out));
+  if (u0 < u1) {
     double* gw = grads_.data() + weight_offsets_[li];
     double* gb = grads_.data() + bias_offsets_[li];
-    const std::vector<double>& a = acts_[li];
     // Bias gradients, sample-outer: each gb[i] receives its per-sample
-    // addends in ascending row order, matching a loop of per-sample
-    // backward calls.
+    // addends in ascending row order over the whole batch, matching a loop
+    // of per-sample backward calls.
     for (std::size_t m = 0; m < n; ++m) {
       const double* d = delta_.data() + m * n_out;
-      for (int i = 0; i < n_out; ++i) gb[i] += d[i];
+      for (int i = u0; i < u1; ++i) gb[i] += d[i];
     }
     // Weight gradients: gw[i][j] += sum_m delta[m][i] * a[m][j]. gemm_tn
     // accumulates into gw in ascending-sample order — a rank-1 update per
     // row — which is what keeps batched gradient accumulation bit-identical
     // to the sequential per-sample updates (gw may already hold prior
-    // batches' gradients, so ordering relative to that seed matters).
-    gemm_tn(n_out, n_in, static_cast<int>(n), delta_.data(), a.data(), gw);
-    if (li == 0) break;
-    prev_delta_.resize(n * static_cast<std::size_t>(n_in));
-    std::fill(prev_delta_.begin(), prev_delta_.end(), 0.0);
-    // prev_delta[m][j] = sum_i delta[m][i] * w[i][j], ascending i, seeded
-    // from 0 — the per-sample code's dot across output units.
-    gemm_nn(static_cast<int>(n), n_in, n_out, delta_.data(), w,
-            prev_delta_.data());
-    const std::vector<double>& a_prev = acts_[li];  // activate(zs_[li-1])
-    for (std::size_t i = 0; i < prev_delta_.size(); ++i) {
-      prev_delta_[i] *= activate_grad_from_act(activation_, a_prev[i]);
-    }
-    std::swap(delta_, prev_delta_);
+    // batches' gradients, so ordering relative to that seed matters). Rows
+    // u0..u1-1 of gw read columns u0..u1-1 of delta, through its row stride.
+    gemm_tn(u1 - u0, n_in, static_cast<int>(n), delta_.data() + u0, n_out,
+            acts_[li].data(), gw + static_cast<std::size_t>(u0) * n_in);
+  }
+  if (li == 0) return;
+  // prev_delta[m][j] = sum_i delta[m][i] * w[i][j], ascending i, seeded
+  // from 0 — the per-sample code's dot across output units.
+  double* prev = prev_delta_.data() + begin * n_in;
+  const std::size_t count = (end - begin) * static_cast<std::size_t>(n_in);
+  std::fill(prev, prev + count, 0.0);
+  gemm_nn(static_cast<int>(end - begin), n_in, n_out,
+          delta_.data() + begin * n_out, params_.data() + weight_offsets_[li],
+          prev);
+  // acts_[li] is activate(zs_[li-1]), the activation the gradient needs.
+  const double* a_prev = acts_[li].data() + begin * n_in;
+  for (std::size_t i = 0; i < count; ++i) {
+    prev[i] *= activate_grad_from_act(activation_, a_prev[i]);
   }
 }
 

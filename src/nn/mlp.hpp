@@ -1,15 +1,45 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
 
 #include "netgym/checkpoint.hpp"
+#include "netgym/parallel.hpp"
 #include "netgym/rng.hpp"
 
 namespace nn {
 
 class Adam;
+
+/// Rows per block of a batched pass. A batch of `n` rows is cut into
+/// `row_blocks(n)` blocks of this many rows (the last one shorter), a split
+/// that depends on `n` alone and never on the thread count.
+inline constexpr std::size_t kRowBlock = 256;
+
+inline std::size_t row_blocks(std::size_t n) {
+  return (n + kRowBlock - 1) / kRowBlock;
+}
+
+/// Runs `fn(begin, end)` once per row block of `[0, n)`. Two or more blocks
+/// run on the global pool (netgym::parallel_for_each, so a call from inside
+/// a pool item stays inline); a batch of one block calls `fn(0, n)` directly.
+/// `fn` must write only state owned by its rows, which makes the result
+/// independent of the schedule. Wrapping `fn` by reference keeps the pool's
+/// std::function within its small-object buffer, so a call allocates nothing.
+template <typename Fn>
+void for_each_row_block(std::size_t n, Fn&& fn) {
+  const std::size_t blocks = row_blocks(n);
+  if (blocks < 2) {
+    fn(std::size_t{0}, n);
+    return;
+  }
+  netgym::parallel_for_each(blocks, [&fn, n](std::size_t b) {
+    const std::size_t begin = b * kRowBlock;
+    fn(begin, std::min(n, begin + kRowBlock));
+  });
+}
 
 /// Hidden-layer activation of an `Mlp`. The output layer is always linear
 /// (policy heads apply softmax themselves; value heads are scalar).
@@ -36,6 +66,11 @@ enum class Activation { kTanh, kRelu };
 /// N=1 wrappers over the same machinery. Under the default strict math mode
 /// (see nn::MathMode) a batched pass is bit-identical to looping the
 /// per-sample one, for both outputs and accumulated gradients.
+///
+/// Both batched passes run in `kRowBlock`-row blocks on the global pool
+/// (`for_each_row_block`): every row's forward and input gradient depend only
+/// on that row, and each parameter gradient is accumulated by one block over
+/// all rows in ascending order, so the bits do not depend on the thread count.
 ///
 /// `forward_batch` caches the batch's per-layer activations; `backward_batch`
 /// consumes that cache, so the call pattern is forward -> backward with a
@@ -110,6 +145,15 @@ class Mlp : public netgym::checkpoint::Serializable {
  private:
   /// The transposed weight blocks (see `wt_`), rebuilt here when stale.
   const double* transposed_weights();
+  /// Rows [begin, end) of an `n`-row forward through every layer (`wt` is
+  /// the transposed weights; unused when n == 1).
+  void forward_rows(const double* inputs, std::size_t n, const double* wt,
+                    std::size_t begin, std::size_t end);
+  /// Layer `li` of an `n`-row backward for the row block [begin, end): its
+  /// rows of the input gradient (`prev_delta_`) and its share of the layer's
+  /// output units in the weight and bias gradients.
+  void backward_rows(std::size_t li, std::size_t n, std::size_t begin,
+                     std::size_t end);
 
   std::vector<int> sizes_;
   Activation activation_;

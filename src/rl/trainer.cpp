@@ -10,6 +10,7 @@
 #include "netgym/parallel.hpp"
 #include "netgym/telemetry.hpp"
 #include "netgym/tracing.hpp"
+#include "nn/mlp.hpp"
 #include "rl/lockstep.hpp"
 
 namespace rl {
@@ -423,30 +424,38 @@ IterationStats A2CTrainer::run_iteration(const EnvFactory& factory) {
   if (capture_health) old_logp.resize(n);
 
   // Actor: dL/dz_j = [-A * (1[a=j] - p_j) + c * p_j (log p_j + H)] / N.
-  // One batched forward for all logits, per-row grads assembled in sample
-  // order, one batched backward; gradient accumulation order matches the
-  // old per-sample forward/backward interleave exactly.
+  // One batched forward for all logits, per-row grads assembled in the
+  // forward's row blocks (nn::for_each_row_block; a row writes only its own
+  // gradient, log-prob and entropy, and the entropies are summed afterwards
+  // in row order), one batched backward; gradient accumulation order matches
+  // the old per-sample forward/backward interleave exactly.
   policy_.net().zero_grad();
   const std::vector<double>& logit_rows =
       policy_.net().forward_batch(obs_rows.data(), n);
   std::vector<double> grad_rows(n * static_cast<std::size_t>(actions));
-  std::vector<double> p(static_cast<std::size_t>(actions));
-  std::vector<double> log_p(p.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Transition& t = batch.transitions[i];
-    const PolicyRow row = policy_row(logit_rows.data() + i * actions, actions,
-                                     t.action, p.data(), log_p.data());
-    if (capture_health) old_logp[i] = row.logp;
-    const double h = row.entropy;
-    entropy_sum += h;
-    double* grad = grad_rows.data() + i * actions;
-    for (int j = 0; j < actions; ++j) {
-      const double onehot = (j == t.action) ? 1.0 : 0.0;
-      const double pg = -adv[i] * (onehot - p[j]);
-      const double eg = ent_coef * p[j] * (log_p[j] + h);
-      grad[j] = (pg + eg) * inv_n;
+  std::vector<double> probs(grad_rows.size());
+  std::vector<double> log_probs(grad_rows.size());
+  std::vector<double> entropies(n);
+  nn::for_each_row_block(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const Transition& t = batch.transitions[i];
+      double* p = probs.data() + i * actions;
+      double* log_p = log_probs.data() + i * actions;
+      const PolicyRow row = policy_row(logit_rows.data() + i * actions,
+                                       actions, t.action, p, log_p);
+      if (capture_health) old_logp[i] = row.logp;
+      const double h = row.entropy;
+      entropies[i] = h;
+      double* grad = grad_rows.data() + i * actions;
+      for (int j = 0; j < actions; ++j) {
+        const double onehot = (j == t.action) ? 1.0 : 0.0;
+        const double pg = -adv[i] * (onehot - p[j]);
+        const double eg = ent_coef * p[j] * (log_p[j] + h);
+        grad[j] = (pg + eg) * inv_n;
+      }
     }
-  }
+  });
+  for (const double h : entropies) entropy_sum += h;
   policy_.net().backward_batch(grad_rows.data(), n);
   policy_.net().apply(actor_opt_);
 
@@ -514,41 +523,48 @@ IterationStats PPOTrainer::run_iteration(const EnvFactory& factory) {
 
   std::vector<double> old_logp(n);
   std::vector<double> grad_rows(n * static_cast<std::size_t>(actions));
-  std::vector<double> p(static_cast<std::size_t>(actions));
-  std::vector<double> log_p(p.size());
+  std::vector<double> probs(grad_rows.size());
+  std::vector<double> log_probs(grad_rows.size());
+  std::vector<double> entropies(n);
   std::vector<double> critic_grads(n);
   for (int epoch = 0; epoch < options_.ppo_epochs; ++epoch) {
     // Actor parameters change every epoch, so each epoch re-runs one batched
     // forward over the whole batch, assembles per-row surrogate gradients in
-    // sample order, and backpropagates them in one batched pass.
+    // the forward's row blocks (each row writes only its own slots; the
+    // entropies are summed afterwards in row order), and backpropagates them
+    // in one batched pass.
     policy_.net().zero_grad();
     const std::vector<double>& logit_rows =
         policy_.net().forward_batch(obs_rows.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Transition& t = batch.transitions[i];
-      const PolicyRow row = policy_row(logit_rows.data() + i * actions,
-                                       actions, t.action, p.data(),
-                                       log_p.data());
-      // Epoch 0 runs on the pre-update parameters, so its log-probs are the
-      // old policy's, and its ratios are exactly exp(0) = 1.
-      if (epoch == 0) old_logp[i] = row.logp;
-      const double ratio = std::exp(row.logp - old_logp[i]);
-      const double h = row.entropy;
-      entropy_sum += h;
-      ++entropy_count;
-      // Clipped surrogate: gradient is zero when the clip is active and
-      // moving further would only increase the clipped-away ratio.
-      const bool clipped = (adv[i] > 0 && ratio > 1.0 + eps) ||
-                           (adv[i] < 0 && ratio < 1.0 - eps);
-      double* grad = grad_rows.data() + i * actions;
-      for (int j = 0; j < actions; ++j) {
-        const double onehot = (j == t.action) ? 1.0 : 0.0;
-        double pg = 0.0;
-        if (!clipped) pg = -adv[i] * ratio * (onehot - p[j]);
-        const double eg = ent_coef * p[j] * (log_p[j] + h);
-        grad[j] = (pg + eg) * inv_n;
+    nn::for_each_row_block(n, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        const Transition& t = batch.transitions[i];
+        double* p = probs.data() + i * actions;
+        double* log_p = log_probs.data() + i * actions;
+        const PolicyRow row = policy_row(logit_rows.data() + i * actions,
+                                         actions, t.action, p, log_p);
+        // Epoch 0 runs on the pre-update parameters, so its log-probs are
+        // the old policy's, and its ratios are exactly exp(0) = 1.
+        if (epoch == 0) old_logp[i] = row.logp;
+        const double ratio = std::exp(row.logp - old_logp[i]);
+        const double h = row.entropy;
+        entropies[i] = h;
+        // Clipped surrogate: gradient is zero when the clip is active and
+        // moving further would only increase the clipped-away ratio.
+        const bool clipped = (adv[i] > 0 && ratio > 1.0 + eps) ||
+                             (adv[i] < 0 && ratio < 1.0 - eps);
+        double* grad = grad_rows.data() + i * actions;
+        for (int j = 0; j < actions; ++j) {
+          const double onehot = (j == t.action) ? 1.0 : 0.0;
+          double pg = 0.0;
+          if (!clipped) pg = -adv[i] * ratio * (onehot - p[j]);
+          const double eg = ent_coef * p[j] * (log_p[j] + h);
+          grad[j] = (pg + eg) * inv_n;
+        }
       }
-    }
+    });
+    for (const double h : entropies) entropy_sum += h;
+    entropy_count += static_cast<long>(n);
     policy_.net().backward_batch(grad_rows.data(), n);
     policy_.net().apply(actor_opt_);
 

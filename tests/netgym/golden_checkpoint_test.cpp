@@ -106,17 +106,38 @@ TEST(GoldenCheckpoint, ReferenceCurriculumCheckpointResumesAndFinishes) {
   EXPECT_EQ(trainer.rounds_completed(), 2);
 }
 
+/// Mean policy entropy of each of the PPO golden run's three iterations. The
+/// statistic is not saved, so the checkpoint bytes cannot pin it.
+const double kPpoGoldenEntropies[] = {0x1.153a95572f5d8p+1,
+                                      0x1.1695707e57b49p+1,
+                                      0x1.18826fb1e8bc3p+1};
+
 /// The generator's PPO run (write_ppo_golden): a CcAdapter(1) trainer,
-/// seed 31, three iterations, saved whole and encoded as file bytes.
+/// seed 31, three iterations, saved whole and encoded as file bytes. Every
+/// batch spans at least two row blocks (about 1,040 rows), so the golden
+/// covers the row-blocked forward, backward and per-row loss.
 std::string train_ppo_golden_bytes() {
   genet::CcAdapter adapter(1);
   const netgym::ConfigDistribution dist(adapter.space());
   const rl::EnvFactory factory = adapter.factory_for(dist);
   const auto trainer = adapter.make_trainer(/*seed=*/31);
-  for (int i = 0; i < 3; ++i) trainer->train_iteration(factory);
+  for (int i = 0; i < 3; ++i) {
+    const rl::IterationStats stats = trainer->train_iteration(factory);
+    EXPECT_GE(stats.steps, static_cast<int>(2 * nn::kRowBlock));
+    EXPECT_EQ(stats.mean_entropy, kPpoGoldenEntropies[i]) << "iteration " << i;
+  }
   ckpt::Snapshot snap;
   trainer->save_state(snap, "trainer/");
   return ckpt::encode_file_bytes(snap);
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 /// Restores the default pool width and a disabled, wiped health watchdog on
@@ -149,6 +170,38 @@ TEST(GoldenCheckpoint, PpoTrainerRetrainsToReferenceBytes) {
   netgym::health::Watchdog::instance().reset();
   netgym::health::Watchdog::instance().enable({});
   EXPECT_TRUE(train_ppo_golden_bytes() == expected) << "health watchdog on";
+}
+
+TEST(GoldenCheckpoint, A2cRowBlockedUpdateMatchesPinnedBits) {
+  // The default trainer of ABR and LB is A2C, whose golden-sized batches
+  // stay within one row block. Thirty-two ABR episodes give 580-670 rows,
+  // so this run's update spans three blocks. The pins were written before
+  // the update was row-blocked: the trainer's saved state (as an FNV-1a
+  // hash of its file bytes) and each iteration's mean entropy.
+  const double kEntropies[] = {0x1.a62717a870986p+0, 0x1.a99ad0ff16639p+0,
+                               0x1.adf0fd50af302p+0};
+  constexpr std::uint64_t kStateHash = 0x3ba52a15c23afd6dULL;
+  PpoGoldenGuard guard;
+  for (int threads : {1, 4}) {
+    netgym::set_num_threads(threads);
+    genet::AbrAdapter adapter(1);
+    const netgym::ConfigDistribution dist(adapter.space());
+    const rl::EnvFactory factory = adapter.factory_for(dist);
+    rl::TrainerOptions options;
+    options.episodes_per_iteration = 32;
+    rl::A2CTrainer trainer(adapter.obs_size(), adapter.action_count(),
+                           options, /*seed=*/31);
+    for (int i = 0; i < 3; ++i) {
+      const rl::IterationStats stats = trainer.train_iteration(factory);
+      EXPECT_GE(stats.steps, static_cast<int>(2 * nn::kRowBlock));
+      EXPECT_EQ(stats.mean_entropy, kEntropies[i])
+          << threads << " threads, iteration " << i;
+    }
+    ckpt::Snapshot snap;
+    trainer.save_state(snap, "trainer/");
+    EXPECT_EQ(fnv1a(ckpt::encode_file_bytes(snap)), kStateHash)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -91,6 +94,38 @@ TEST(ThreadPool, BackToBackJobsReuseWorkers) {
     });
     ASSERT_EQ(runs.load(), 17) << "round " << round;
   }
+}
+
+TEST(ThreadPool, BusyPoolRunsASecondCallersItemsInline) {
+  // Job A's first item waits for job B to finish, and both come from
+  // outside the pool. If B waited for A's job to drain, neither would ever
+  // finish; a busy pool instead runs B's items on B's own thread. The wait
+  // is bounded so that a regression fails here instead of hanging.
+  netgym::ThreadPool pool(2);
+  std::promise<void> a_started;
+  std::promise<void> b_done;
+  std::shared_future<void> b_done_future = b_done.get_future().share();
+  std::atomic<bool> a_timed_out{false};
+  std::thread a([&] {
+    pool.for_each(2, [&](std::size_t i) {
+      if (i != 0) return;
+      a_started.set_value();
+      if (b_done_future.wait_for(std::chrono::seconds(10)) !=
+          std::future_status::ready) {
+        a_timed_out = true;
+      }
+    });
+  });
+  a_started.get_future().wait();
+  const std::thread::id b_thread = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(3);
+  pool.for_each(3, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  b_done.set_value();
+  a.join();
+  EXPECT_FALSE(a_timed_out.load()) << "job B waited for job A to drain";
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, b_thread);
 }
 
 TEST(GlobalPool, SetNumThreadsControlsNumThreads) {

@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <regex>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "netgym/parallel.hpp"
 #include "netgym/parse.hpp"
@@ -243,6 +249,16 @@ TEST(ParseF64, RejectsStrtodSpecials) {
   EXPECT_TRUE(rejects_f64("-nan"));
 }
 
+TEST(ParseF64, RejectsHexFloats) {
+  // strtod reads C99 hex floats; parse_i64 refuses hex, and so must this.
+  EXPECT_TRUE(rejects_f64("0x10"));
+  EXPECT_TRUE(rejects_f64("0x1p-2"));
+  EXPECT_TRUE(rejects_f64("0X1P3"));
+  EXPECT_TRUE(rejects_f64("-0x1p-1"));
+  EXPECT_TRUE(rejects_f64("+0x.8"));
+  EXPECT_TRUE(rejects_f64("0x"));
+}
+
 TEST(ParseF64, RejectsTrailingJunkAndWhitespace) {
   // The defining difference from atof: "0.5x" must not become 0.5.
   EXPECT_TRUE(rejects_f64("0.5x"));
@@ -331,6 +347,131 @@ TEST(EnvF64, ThrowsOnGarbageAndOutOfRangeInsteadOfFallingBack) {
     EXPECT_THROW(netgym::env_f64("GENET_PARSE_TEST_FKNOB", 0.5, 0.0, 1.0),
                  std::invalid_argument);
   }
+}
+
+// Seeded fuzzing of the knob parsers. Inputs are valid knob values mutated
+// by character inserts, deletes and replacements, truncation and splices.
+// The property: every input parses or fails with the typed error (false, or
+// std::invalid_argument from the *_in_range forms), never anything else, and
+// an accepted value is the decimal reading of the whole string.
+const std::vector<std::string> kKnobSeeds = {
+    "0",     "1",      "8",    "42",     "-17",  "+8",   "007",
+    "65536", "20000",  "0.5",  "-0.25",  ".25",  "1e-3", "2.5E+2",
+    "-0.0",  "0.0001", "1.",   "3.5e10", "9223372036854775807"};
+const std::string kFuzzAlphabet = "0123456789+-.eExXpPabcdfinINF \t";
+
+std::string mutate(std::string text, std::mt19937_64& rng) {
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const std::size_t mutations = 1 + pick(3);
+  for (std::size_t m = 0; m < mutations; ++m) {
+    const char c = kFuzzAlphabet[pick(kFuzzAlphabet.size())];
+    switch (pick(5)) {
+      case 0:  // insert
+        text.insert(pick(text.size() + 1), 1, c);
+        break;
+      case 1:  // delete
+        if (!text.empty()) text.erase(pick(text.size()), 1);
+        break;
+      case 2:  // replace
+        if (!text.empty()) text[pick(text.size())] = c;
+        break;
+      case 3:  // truncate
+        text.resize(pick(text.size() + 1));
+        break;
+      default: {  // splice with another seed
+        const std::string& other = kKnobSeeds[pick(kKnobSeeds.size())];
+        text = text.substr(0, pick(text.size() + 1)) +
+               other.substr(pick(other.size() + 1));
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+/// `text` without a leading '+' (std::from_chars reads no plus sign).
+std::string_view unsigned_plus(const std::string& text) {
+  std::string_view view(text);
+  if (!view.empty() && view.front() == '+') view.remove_prefix(1);
+  return view;
+}
+
+TEST(ParseFuzz, IntegersParseAsTheirDecimalReadingOrFail) {
+  const std::regex decimal("[+-]?[0-9]+");
+  std::mt19937_64 rng(20261020);
+  int accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string text = mutate(kKnobSeeds[rng() % kKnobSeeds.size()], rng);
+    std::int64_t value = 0;
+    const bool ok = netgym::parse_i64(text, value);
+    // The reference reading: the decimal grammar, then from_chars.
+    std::int64_t reference = 0;
+    bool reference_ok = std::regex_match(text, decimal);
+    if (reference_ok) {
+      const std::string_view digits = unsigned_plus(text);
+      const auto [end, ec] = std::from_chars(
+          digits.data(), digits.data() + digits.size(), reference);
+      reference_ok = ec == std::errc() && end == digits.data() + digits.size();
+    }
+    ASSERT_EQ(ok, reference_ok) << "'" << text << "'";
+    if (ok) {
+      ++accepted;
+      ASSERT_EQ(value, reference) << "'" << text << "'";
+    }
+    try {
+      const std::int64_t ranged =
+          netgym::parse_i64_in_range("knob", text, -1000, 1000);
+      ASSERT_TRUE(ok && value >= -1000 && value <= 1000) << "'" << text << "'";
+      ASSERT_EQ(ranged, value) << "'" << text << "'";
+    } catch (const std::invalid_argument&) {
+      ASSERT_FALSE(ok && value >= -1000 && value <= 1000) << "'" << text << "'";
+    }
+  }
+  EXPECT_GT(accepted, 1000);
+}
+
+TEST(ParseFuzz, FloatsParseAsTheirDecimalReadingOrFail) {
+  const std::regex decimal(
+      "[+-]?([0-9]+[.]?[0-9]*|[.][0-9]+)([eE][+-]?[0-9]+)?");
+  std::mt19937_64 rng(20261021);
+  int accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string text = mutate(kKnobSeeds[rng() % kKnobSeeds.size()], rng);
+    double value = 0.0;
+    const bool ok = netgym::parse_f64(text, value);
+    const bool grammar = std::regex_match(text, decimal);
+    double reference = 0.0;
+    bool reference_ok = false;
+    if (grammar) {
+      const std::string_view digits = unsigned_plus(text);
+      const auto [end, ec] = std::from_chars(
+          digits.data(), digits.data() + digits.size(), reference);
+      reference_ok = ec == std::errc() && end == digits.data() + digits.size();
+    }
+    if (ok) {
+      ++accepted;
+      ASSERT_TRUE(reference_ok) << "'" << text << "'";
+      ASSERT_EQ(std::memcmp(&value, &reference, sizeof value), 0)
+          << "'" << text << "' read as " << value << ", not " << reference;
+    } else if (reference_ok && std::isfinite(reference)) {
+      // Only a value too small for a normal double may be refused (strtod
+      // reports ERANGE for it).
+      ASSERT_TRUE(reference != 0.0 &&
+                  std::abs(reference) < std::numeric_limits<double>::min())
+          << "'" << text << "' refused";
+    }
+    try {
+      const double ranged = netgym::parse_f64_in_range("knob", text, -1.0, 1.0);
+      ASSERT_TRUE(ok && value >= -1.0 && value <= 1.0) << "'" << text << "'";
+      ASSERT_EQ(std::memcmp(&ranged, &value, sizeof value), 0)
+          << "'" << text << "'";
+    } catch (const std::invalid_argument&) {
+      ASSERT_FALSE(ok && value >= -1.0 && value <= 1.0) << "'" << text << "'";
+    }
+  }
+  EXPECT_GT(accepted, 1000);
 }
 
 TEST(EnvKnobs, GenetThreadsValidValueIsUsed) {

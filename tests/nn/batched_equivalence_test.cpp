@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "netgym/parallel.hpp"
 #include "netgym/rng.hpp"
 #include "nn/gemm.hpp"
 #include "nn/mlp.hpp"
@@ -23,6 +24,11 @@ using nn::Mlp;
 
 struct MathModeGuard {
   ~MathModeGuard() { nn::set_math_mode(nn::MathMode::kStrict); }
+};
+
+/// Restores the default pool width on scope exit.
+struct PoolGuard {
+  ~PoolGuard() { netgym::set_num_threads(0); }
 };
 
 std::vector<double> batch_inputs(int n, int width, double scale) {
@@ -111,6 +117,86 @@ TEST_P(BatchedEquivalenceTest, SplitBatchesMatchOneBatch) {
   const std::vector<double>& out_whole = check.forward_batch(x.data(), n);
   EXPECT_EQ(out_split, out_whole);
   EXPECT_EQ(whole.grads(), split.grads());
+}
+
+// Batch sizes around the row-block edges (nn::kRowBlock = 256): one block,
+// one block plus a row, two blocks, two plus a row, and a PPO-sized batch.
+const int kBlockEdgeBatches[] = {255, 256, 257, 511, 512, 513, 1764};
+
+/// Outputs and accumulated gradients of one batched forward + backward over
+/// `n` rows, on a copy of `net` whose gradients hold a non-zero seed.
+struct BatchedPass {
+  std::vector<double> out;
+  std::vector<double> grads;
+};
+
+std::vector<double> prior_grads(const Mlp& net) {
+  return batch_inputs(static_cast<int>(net.num_params()), 1, 0.01);
+}
+
+BatchedPass batched_pass(const Mlp& net, int n) {
+  Mlp copy = net;
+  copy.grads() = prior_grads(net);
+  const std::vector<double> x = batch_inputs(n, 6, 1.0);
+  const std::vector<double> g = batch_inputs(n, 4, 0.3);
+  BatchedPass pass;
+  const std::vector<double>& out = copy.forward_batch(x.data(), n);
+  pass.out.assign(out.begin(), out.end());
+  copy.backward_batch(g.data(), n);
+  pass.grads = copy.grads();
+  return pass;
+}
+
+TEST_P(BatchedEquivalenceTest, RowBlocksMatchLoopedSamplesAtAnyPoolWidth) {
+  // Every row-block edge, at 1, 2 and 4 pool threads: outputs and gradients
+  // accumulated on top of non-zero prior gradients must equal the
+  // per-sample loop's bits.
+  PoolGuard guard;
+  Rng rng(41);
+  const Mlp net(std::vector<int>{6, 32, 32, 4}, GetParam(), rng);
+  for (int n : kBlockEdgeBatches) {
+    Mlp loop_net = net;
+    loop_net.grads() = prior_grads(net);
+    const std::vector<double> x = batch_inputs(n, 6, 1.0);
+    const std::vector<double> g = batch_inputs(n, 4, 0.3);
+    std::vector<double> loop_out;
+    for (int m = 0; m < n; ++m) {
+      const std::vector<double> one_x(x.begin() + m * 6,
+                                      x.begin() + (m + 1) * 6);
+      const std::vector<double>& y = loop_net.forward(one_x);
+      loop_out.insert(loop_out.end(), y.begin(), y.end());
+      loop_net.backward(std::vector<double>(g.begin() + m * 4,
+                                            g.begin() + (m + 1) * 4));
+    }
+    for (int threads : {1, 2, 4}) {
+      netgym::set_num_threads(threads);
+      const BatchedPass pass = batched_pass(net, n);
+      EXPECT_EQ(pass.out, loop_out) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(pass.grads, loop_net.grads())
+          << "n=" << n << " threads=" << threads;
+    }
+  }
+}
+
+TEST_P(BatchedEquivalenceTest, FastModeRowBlocksIgnorePoolWidth) {
+  // Fast mode is not bit-identical to strict, but the row blocks depend on
+  // the batch alone, so the same batch gives the same bits at any width.
+  MathModeGuard math_guard;
+  PoolGuard pool_guard;
+  nn::set_math_mode(nn::MathMode::kFast);
+  Rng rng(43);
+  const Mlp net(std::vector<int>{6, 32, 32, 4}, GetParam(), rng);
+  for (int n : kBlockEdgeBatches) {
+    netgym::set_num_threads(1);
+    const BatchedPass serial = batched_pass(net, n);
+    for (int threads : {2, 4}) {
+      netgym::set_num_threads(threads);
+      const BatchedPass pass = batched_pass(net, n);
+      EXPECT_EQ(pass.out, serial.out) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(pass.grads, serial.grads)
+          << "n=" << n << " threads=" << threads;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Activations, BatchedEquivalenceTest,

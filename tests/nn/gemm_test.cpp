@@ -103,7 +103,7 @@ TEST(Gemm, StrictTransposedMatchesNaiveBitForBit) {
     std::vector<double> c_naive = filled(s.M * s.N, 0.2);
     std::vector<double> c_gemm = c_naive;
     naive_gemm_tn(s.M, s.N, s.K, a, b, c_naive);
-    nn::gemm_tn(s.M, s.N, s.K, a.data(), b.data(), c_gemm.data());
+    nn::gemm_tn(s.M, s.N, s.K, a.data(), s.M, b.data(), c_gemm.data());
     EXPECT_EQ(c_naive, c_gemm) << "gemm_tn " << s.M << "x" << s.N << "x" << s.K;
   }
 }
@@ -127,9 +127,9 @@ TEST(Gemm, ScalarKernelsMatchDispatchedStrict) {
     const std::vector<double> b = filled(s.K * s.N, 0.6);
     std::vector<double> c_scalar = filled(s.M * s.N, 0.8);
     std::vector<double> c_dispatch = c_scalar;
-    nn::detail::gemm_tn_scalar(s.M, s.N, s.K, a.data(), b.data(),
+    nn::detail::gemm_tn_scalar(s.M, s.N, s.K, a.data(), s.M, b.data(),
                                c_scalar.data());
-    nn::gemm_tn(s.M, s.N, s.K, a.data(), b.data(), c_dispatch.data());
+    nn::gemm_tn(s.M, s.N, s.K, a.data(), s.M, b.data(), c_dispatch.data());
     EXPECT_EQ(c_scalar, c_dispatch)
         << "gemm_tn " << s.M << "x" << s.N << "x" << s.K;
   }
@@ -258,13 +258,43 @@ TEST(Gemm, FastModeIsCloseAndRunToRunReproducible) {
     std::vector<double> tn_strict = filled(s.M * s.N, 0.2);
     std::vector<double> tn_fast = tn_strict;
     nn::set_math_mode(MathMode::kStrict);
-    nn::gemm_tn(s.M, s.N, s.K, ta.data(), tb.data(), tn_strict.data());
+    nn::gemm_tn(s.M, s.N, s.K, ta.data(), s.M, tb.data(), tn_strict.data());
     nn::set_math_mode(MathMode::kFast);
-    nn::gemm_tn(s.M, s.N, s.K, ta.data(), tb.data(), tn_fast.data());
+    nn::gemm_tn(s.M, s.N, s.K, ta.data(), s.M, tb.data(), tn_fast.data());
     for (std::size_t i = 0; i < tn_strict.size(); ++i) {
       ASSERT_NEAR(tn_fast[i], tn_strict[i],
                   1e-9 * (1.0 + std::abs(tn_strict[i])))
           << "gemm_tn " << s.M << "x" << s.N << "x" << s.K << " at " << i;
+    }
+  }
+}
+
+TEST(Gemm, TransposedRowSlicesMatchWholeInBothModes) {
+  // Mlp::backward_batch splits a weight gradient's rows (output units)
+  // across row blocks: each slice reads its columns of A through lda. Any
+  // cut, including ones that break the 4-row register blocks, must give the
+  // whole call's bits, in strict and in fast mode.
+  MathModeGuard guard;
+  const int M = 32;
+  const int N = 53;
+  const int K = 300;
+  const std::vector<double> a = filled(K * M, 0.4);
+  const std::vector<double> b = filled(K * N, 0.9);
+  const std::vector<double> seed = filled(M * N, 0.2);
+  for (MathMode mode : {MathMode::kStrict, MathMode::kFast}) {
+    nn::set_math_mode(mode);
+    std::vector<double> whole = seed;
+    nn::gemm_tn(M, N, K, a.data(), M, b.data(), whole.data());
+    for (const std::vector<int>& cuts :
+         {std::vector<int>{0, 4, 8, 12, 16, 20, 24, 28, 32},
+          std::vector<int>{0, 1, 3, 10, 17, 31, 32}}) {
+      std::vector<double> sliced = seed;
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        const int m0 = cuts[c];
+        nn::gemm_tn(cuts[c + 1] - m0, N, K, a.data() + m0, M, b.data(),
+                    sliced.data() + static_cast<std::size_t>(m0) * N);
+      }
+      EXPECT_EQ(sliced, whole) << nn::math_mode_name(mode);
     }
   }
 }

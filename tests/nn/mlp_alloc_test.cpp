@@ -13,6 +13,7 @@
 #include <new>
 #include <vector>
 
+#include "netgym/parallel.hpp"
 #include "netgym/rng.hpp"
 #include "nn/adam.hpp"
 #include "nn/mlp.hpp"
@@ -65,6 +66,33 @@ TEST(MlpAlloc, SteadyStateBatchedPassesAreAllocationFree) {
       net.backward_batch(g.data(), n);
       net.zero_grad();
     }
+  });
+  EXPECT_EQ(allocs, 0);
+}
+
+TEST(MlpAlloc, RowBlockedPassesOnTwoThreadsAreAllocationFree) {
+  // A PPO-sized batch spans seven row blocks, which run on the pool: the
+  // dispatch itself must not allocate either.
+  struct PoolGuard {
+    ~PoolGuard() { netgym::set_num_threads(0); }
+  } guard;
+  netgym::set_num_threads(2);
+  Rng rng(7);
+  Mlp net(std::vector<int>{30, 32, 32, 3}, Activation::kTanh, rng);
+  nn::Adam adam(net.num_params());
+  const int n = 1764;
+  ASSERT_GE(nn::row_blocks(n), 2u);
+  std::vector<double> x(static_cast<std::size_t>(n) * 30, 0.25);
+  std::vector<double> g(static_cast<std::size_t>(n) * 3, 0.1);
+  const auto train_step = [&] {
+    net.forward_batch(x.data(), n);
+    net.backward_batch(g.data(), n);
+    net.apply(adam);
+    net.zero_grad();
+  };
+  for (int i = 0; i < 2; ++i) train_step();  // warm-up sizes every buffer
+  const long allocs = allocations_during([&] {
+    for (int i = 0; i < 5; ++i) train_step();
   });
   EXPECT_EQ(allocs, 0);
 }
